@@ -1,0 +1,53 @@
+"""Golden digest of extraction outputs.
+
+Pins the subset, the representation table and the witness that `extract`
+returns on fixed inputs, so a change to the certificate's encoding or to the
+internals of the pipeline can be shown not to change what is certified.
+The inputs are the 210 `full_nonzero` groups of acceptance criterion 2 plus
+the `prune_closure` sets of Z (count 20, bound 50) for seeds 0..299.
+"""
+import hashlib
+import json
+
+from zerosum.extractor import extract
+from zerosum.gen import GenConfig, random_sumfull_set
+from zerosum.groups import GroupSpec
+from zerosum.sumfull import NotSumFull
+from test_acceptance import _criterion_2_specs
+
+GOLDEN_SHA256 = "f3b8438639a3fe7148a66873276bd85e85eefe0fde5cf45cc61118326bc0e379"
+
+
+def _instances():
+    for spec in _criterion_2_specs():
+        yield random_sumfull_set(GenConfig(seed=0, group=spec, mode="full_nonzero"))
+    for seed in range(300):
+        inst = random_sumfull_set(GenConfig(seed=seed, group=GroupSpec(1, ()),
+                                            mode="prune_closure", count=20, bound=50))
+        if inst is not None:
+            yield inst
+
+
+def _record(cert) -> list:
+    if cert.trail is None:
+        return [list(cert.subset), None, None, None]
+    w = cert.trail.witness
+    return [list(cert.subset), [list(p) for p in cert.trail.table.reps],
+            list(w.rows), list(w.vector)]
+
+
+def golden_digest() -> tuple[int, str]:
+    hasher = hashlib.sha256()
+    count = 0
+    for inst in _instances():
+        cert = extract(inst)
+        assert not isinstance(cert, NotSumFull)
+        hasher.update(json.dumps(_record(cert), separators=(",", ":")).encode() + b"\n")
+        count += 1
+    return count, hasher.hexdigest()
+
+
+def test_extraction_outputs_pinned():
+    count, digest = golden_digest()
+    assert count >= 210
+    assert digest == GOLDEN_SHA256
