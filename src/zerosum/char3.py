@@ -105,19 +105,6 @@ def subgroup_closure(gens: Sequence[GroupElement], g: GroupSpec,
     return SubgroupHandle(canonical, groups.canonical_elements(realized, g))
 
 
-def check_complement_generating(a: InputSet, b_indices: Sequence[int]) -> bool:
-    """True iff the closure of A minus the indexed subset is the whole (finite) group."""
-    n = len(a.elements)
-    b = set(b_indices)
-    if any(k < 0 or k >= n for k in b):
-        raise ValueError("subset indices out of range")
-    if not a.spec.is_finite():
-        raise ValueError("generation check needs a finite ambient group")
-    gens = [x for k, x in enumerate(a.elements) if k not in b]
-    h = subgroup_closure(gens, a.spec)
-    return len(h.realized) == a.spec.order()
-
-
 def chain_extract(a: InputSet, h: SubgroupHandle) -> Union[ZeroSumList, AdditiveQuadruple]:
     """Run the chain a_k = a_{k+1} + b_k until the a-sequence repeats.
 

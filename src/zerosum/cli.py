@@ -82,7 +82,7 @@ def cmd_extract(args, stdin, stdout) -> int:
 
 def cmd_verify(args, stdin, stdout) -> int:
     a, cert = formats.certificate_from_json(_read_json(args, stdin))
-    ok = verify_certificate(cert, a)
+    ok = cert is not None and verify_certificate(cert, a)
     _emit(stdout, {"format": FORMAT_VERSION, "valid": ok})
     return EXIT_OK if ok else EXIT_INPUT
 
@@ -98,7 +98,7 @@ def cmd_matrix_witness(args, stdin, stdout) -> int:
 
 def cmd_oracle(args, stdin, stdout) -> int:
     a = formats.instance_from_json(_read_json(args, stdin))
-    budget = SearchBudget(time_cap=args.budget) if args.budget else SearchBudget()
+    budget = SearchBudget() if args.budget is None else SearchBudget(time_cap=args.budget)
     subset = brute_force_zero_sum(a, budget)
     _emit(stdout, {"format": FORMAT_VERSION,
                    "zero_sum_subset": None if subset is None else list(subset)})
@@ -164,10 +164,9 @@ def cmd_quadruple(args, stdin, stdout) -> int:
 def cmd_olson(args, stdin, stdout) -> int:
     obj = _read_json(args, stdin)
     p = formats.require_field(obj, "p", int)
-    invariants = formats.require_field(obj, "invariants", list)
-    bound = char3.olson_bound(p, [int(x) for x in invariants])
-    _emit(stdout, {"format": FORMAT_VERSION, "p": p,
-                   "invariants": [int(x) for x in invariants], "bound": bound})
+    invariants = formats.strict_ints(formats.require_field(obj, "invariants", list), "'invariants'")
+    _emit(stdout, {"format": FORMAT_VERSION, "p": p, "invariants": list(invariants),
+                   "bound": char3.olson_bound(p, invariants)})
     return EXIT_OK
 
 
@@ -181,7 +180,7 @@ def cmd_audit3(args, stdin, stdout) -> int:
 def _gen_config(args, obj: Optional[dict]) -> GenConfig:
     obj = obj or {}
     seed = args.seed if args.seed is not None else int(obj.get("seed", 0))
-    mode = getattr(args, "mode", None) or obj.get("mode", "prune_closure")
+    mode = args.mode or obj.get("mode", "prune_closure")
     group = formats.group_from_json(obj["group"]) if "group" in obj else groups.GroupSpec(1, ())
     count = int(obj.get("count", 20))
     bound = int(obj.get("bound", 50))
@@ -283,21 +282,26 @@ COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Every command takes --input; each other flag goes only to the commands that read it."""
     parser = argparse.ArgumentParser(prog="zerosum",
                                      description="zero-sum subset certificates for sum-full sets")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--input", default=None, help="input JSON path, or - for stdin")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--budget", type=float, default=None, help="time cap in seconds")
-        p.add_argument("--workers", type=int, default=1)
-        if name == "enumerate":
-            p.add_argument("--verify-witness", action="store_true")
-        if name in ("gen", "fuzz"):
-            p.add_argument("--mode", default=None, choices=gen.MODES)
+    cmd = {name: sub.add_parser(name) for name in COMMANDS}
+    for p in cmd.values():
+        p.add_argument("--input", help="input JSON path, or - for stdin")
+    cmd["oracle"].add_argument("--budget", type=float, help="time cap in seconds")
+    cmd["enumerate"].add_argument("--verify-witness", action="store_true")
+    for name in ("enumerate", "gen", "fuzz"):
+        cmd[name].add_argument("--n", type=int)
+    for name in ("enumerate", "fuzz"):
+        cmd[name].add_argument("--workers", type=int, default=1)
+    for name in ("gen", "fuzz"):
+        cmd[name].add_argument("--seed", type=int)
+        cmd[name].add_argument("--mode", choices=gen.MODES)
     return parser
+
+
+PARSER = _build_parser()
 
 
 def dispatch(argv: list[str], *, stdin: Optional[IO[str]] = None,
@@ -306,7 +310,7 @@ def dispatch(argv: list[str], *, stdin: Optional[IO[str]] = None,
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
-        args = _build_parser().parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:

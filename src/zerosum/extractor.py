@@ -2,7 +2,8 @@
 
 Each row of the built matrix encodes a_i + a_j - a_k = 0, so it is orthogonal
 to the element vector; any 0-1 row-sum vector v therefore marks a subset
-S = {k : v_k = 1} with element sum zero.
+S = {k : v_k = 1} with element sum zero.  The matrix is a pure function of the
+representation table, so the audit trail keeps only the table and the witness.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ class Trail:
     """Everything needed to re-derive the certificate without rerunning extraction."""
 
     table: RepresentationTable
-    matrix: ConstraintMatrix
     witness: WitnessSubset
 
 
@@ -70,7 +70,7 @@ def extract(a: InputSet) -> Union[ZeroSumCertificate, NotSumFull]:
     elements = tuple(a.elements[k] for k in s)
     if groups.scalar_sum(elements, a.spec) != z:
         raise InternalVerificationError("witness support does not sum to zero")
-    return ZeroSumCertificate(s, elements, Trail(t, m, w))
+    return ZeroSumCertificate(s, elements, Trail(t, w))
 
 
 def verify_certificate(c: ZeroSumCertificate, a: InputSet) -> bool:
@@ -85,13 +85,10 @@ def verify_certificate(c: ZeroSumCertificate, a: InputSet) -> bool:
     z = groups.zero(a.spec)
     if groups.scalar_sum(c.elements, a.spec) != z:
         return False
-    if c.trail is None:
-        return c.subset == (c.subset[0],) and a.elements[c.subset[0]] == z
     trail = c.trail
-    if not verify_table(a, trail.table):
-        return False
-    if trail.matrix.n != n or not np.array_equal(build_matrix(trail.table).entries, trail.matrix.entries):
-        return False
-    if not verify_witness(trail.matrix, trail.witness):
-        return False
-    return c.subset == support(trail.witness.vector)
+    if trail is None:
+        return c.subset == (c.subset[0],) and a.elements[c.subset[0]] == z
+    # build_matrix runs only on a table that verify_table has bounded to the input.
+    return (verify_table(a, trail.table)
+            and verify_witness(build_matrix(trail.table), trail.witness)
+            and c.subset == support(trail.witness.vector))

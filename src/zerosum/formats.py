@@ -3,23 +3,23 @@
 Instances are {"format": 1, "group": {"free_rank": r, "torsion": [...]},
 "elements": [[coords], ...]} with free coordinates first and torsion residues
 after.  All indices in emitted JSON are 0-based positions into the canonical
-(sorted, deduplicated) element list, which commands echo back.
+(sorted, deduplicated) element list, which commands echo back.  Every integer
+field is decoded strictly: floats and booleans are rejected, never coerced.
 """
 from __future__ import annotations
 
 import json
-from typing import Any
-
-import numpy as np
+from typing import Any, Optional
 
 from . import groups
 from .char3 import AdditiveQuadruple, AuditReport, ZeroSumList
-from .extractor import Trail, ZeroSumCertificate
+from .extractor import Trail, ZeroSumCertificate, build_matrix
 from .groups import GroupElement, GroupSpec
 from .sumfull import InputSet, RepresentationTable
 from .witness import ConstraintMatrix, WitnessSubset, validate_membership
 
 FORMAT_VERSION = 1
+CERTIFICATE_FORMAT = 2  # reps + witness; format 1 also embedded the class matrix of the reps
 
 
 class InputFormatError(ValueError):
@@ -34,9 +34,16 @@ def require_field(obj: Any, key: str, kind) -> Any:
     if not isinstance(obj, dict) or key not in obj:
         raise InputFormatError(f"missing field {key!r}")
     value = obj[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise InputFormatError(f"field {key!r} has the wrong type")
     return value
+
+
+def strict_ints(values: Any, what: str) -> tuple[int, ...]:
+    """A JSON list of integers as a tuple; floats and booleans are refused, never coerced."""
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise InputFormatError(f"{what} must be a list of integers")
+    return tuple(values)
 
 
 def group_to_json(g: GroupSpec) -> dict:
@@ -45,9 +52,9 @@ def group_to_json(g: GroupSpec) -> dict:
 
 def group_from_json(obj: Any) -> GroupSpec:
     free_rank = require_field(obj, "free_rank", int)
-    torsion = require_field(obj, "torsion", list)
+    torsion = strict_ints(require_field(obj, "torsion", list), "'torsion'")
     try:
-        return GroupSpec(free_rank, tuple(int(m) for m in torsion))
+        return GroupSpec(free_rank, torsion)
     except (TypeError, ValueError) as exc:
         raise InputFormatError(str(exc)) from exc
 
@@ -57,8 +64,7 @@ def elements_from_json(obj: Any, g: GroupSpec) -> list[GroupElement]:
         raise InputFormatError("'elements' must be a list of coordinate lists")
     out = []
     for row in obj:
-        if not isinstance(row, list) or not all(isinstance(c, int) for c in row):
-            raise InputFormatError("each element must be a list of integers")
+        row = strict_ints(row, "each element")
         try:
             out.append(groups.element(g, row))
         except (ValueError, OverflowError) as exc:
@@ -84,11 +90,9 @@ def instance_to_json(a: InputSet) -> dict:
 
 
 def matrix_from_json(obj: Any) -> ConstraintMatrix:
-    rows = require_field(obj, "matrix", list)
-    if not rows or not all(isinstance(r, list) and all(isinstance(c, int) for c in r) for r in rows):
-        raise InputFormatError("'matrix' must be a non-empty list of integer rows")
-    if any(len(r) != len(rows) for r in rows):
-        raise InputFormatError("'matrix' must be square")
+    rows = [strict_ints(r, "each matrix row") for r in require_field(obj, "matrix", list)]
+    if not rows or any(len(r) != len(rows) for r in rows):
+        raise InputFormatError("'matrix' must be a non-empty square list of integer rows")
     return validate_membership(rows)
 
 
@@ -97,44 +101,51 @@ def witness_to_json(w: WitnessSubset) -> dict:
 
 
 def witness_from_json(obj: Any) -> WitnessSubset:
-    rows = require_field(obj, "rows", list)
-    vector = require_field(obj, "vector", list)
-    return WitnessSubset(tuple(int(r) for r in rows), tuple(int(v) for v in vector))
+    rows = strict_ints(require_field(obj, "rows", list), "witness 'rows'")
+    vector = strict_ints(require_field(obj, "vector", list), "witness 'vector'")
+    return WitnessSubset(rows, vector)
 
 
 def trail_to_json(t: Trail) -> dict:
-    return {
-        "reps": [list(pair) for pair in t.table.reps],
-        "matrix": t.matrix.tolist(),
-        "witness": witness_to_json(t.witness),
-    }
+    return {"reps": [list(pair) for pair in t.table.reps], "witness": witness_to_json(t.witness)}
 
 
 def trail_from_json(obj: Any) -> Trail:
-    reps = require_field(obj, "reps", list)
-    table = RepresentationTable(tuple((int(i), int(j)) for i, j in reps))
-    rows = require_field(obj, "matrix", list)
-    matrix = ConstraintMatrix(np.array(rows, dtype=np.int64))
-    return Trail(table, matrix, witness_from_json(require_field(obj, "witness", dict)))
+    """Decode reps + witness; a legacy format-1 "matrix" must equal the matrix of the reps."""
+    reps = tuple(strict_ints(pair, "each rep") for pair in require_field(obj, "reps", list))
+    n = len(reps)
+    if not reps or any(len(pair) != 2 or not (0 <= pair[0] < n and 0 <= pair[1] < n)
+                       for pair in reps):
+        raise InputFormatError("reps must be a nonempty list of element index pairs")
+    table = RepresentationTable(reps)
+    if "matrix" in obj:
+        rows = [list(strict_ints(r, "each matrix row")) for r in require_field(obj, "matrix", list)]
+        if rows != build_matrix(table).tolist():
+            raise InputFormatError("trail matrix differs from the matrix of the reps")
+    return Trail(table, witness_from_json(require_field(obj, "witness", dict)))
 
 
 def certificate_to_json(a: InputSet, c: ZeroSumCertificate) -> dict:
     payload = instance_to_json(a)
+    payload["format"] = CERTIFICATE_FORMAT
     payload["subset"] = list(c.subset)
     payload["sum_check"] = "zero"
     payload["trail"] = None if c.trail is None else trail_to_json(c.trail)
     return payload
 
 
-def certificate_from_json(obj: Any) -> tuple[InputSet, ZeroSumCertificate]:
+def certificate_from_json(obj: Any) -> tuple[InputSet, Optional[ZeroSumCertificate]]:
+    """The instance (malformed: raises) and the certificate (malformed subset or trail: None)."""
     a = instance_from_json(obj)
-    subset = tuple(int(k) for k in require_field(obj, "subset", list))
-    if any(k < 0 or k >= len(a.elements) for k in subset):
-        raise InputFormatError("certificate subset index out of range")
-    elements = tuple(a.elements[k] for k in subset)
-    raw_trail = obj.get("trail")
-    trail = None if raw_trail is None else trail_from_json(raw_trail)
-    return a, ZeroSumCertificate(subset, elements, trail)
+    try:
+        subset = strict_ints(require_field(obj, "subset", list), "'subset'")
+        if any(k < 0 or k >= len(a.elements) for k in subset):
+            raise InputFormatError("certificate subset index out of range")
+        raw_trail = obj.get("trail")
+        trail = None if raw_trail is None else trail_from_json(raw_trail)
+    except InputFormatError:
+        return a, None
+    return a, ZeroSumCertificate(subset, tuple(a.elements[k] for k in subset), trail)
 
 
 def quadruple_to_json(q: AdditiveQuadruple) -> list[list[int]]:

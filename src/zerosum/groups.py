@@ -1,9 +1,10 @@
 """Finitely generated abelian groups Z^r x Z_{m_1} x ... x Z_{m_t} with exact arithmetic.
 
 Elements are immutable coordinate tuples: free coordinates first, then torsion
-residues stored reduced into [0, m_i).  Free coordinates live in the symmetric
-64-bit range; arithmetic that would leave it raises OverflowError instead of
-wrapping, since certificates require exact sums.
+residues stored reduced into [0, m_i).  Free coordinates are checked against
+the symmetric 64-bit range once, when an element is built; arithmetic on them
+is exact Python integer arithmetic and never wraps or raises, since
+certificates require exact sums.
 """
 from __future__ import annotations
 
@@ -86,7 +87,7 @@ def zero(g: GroupSpec) -> GroupElement:
 def add(x: GroupElement, y: GroupElement, g: GroupSpec) -> GroupElement:
     check_shape(x, g)
     check_shape(y, g)
-    free = tuple(_check_free(a + b) for a, b in zip(x.free, y.free))
+    free = tuple(a + b for a, b in zip(x.free, y.free))
     torsion = tuple((a + b) % m for a, b, m in zip(x.torsion, y.torsion, g.torsion))
     return GroupElement(free, torsion)
 

@@ -92,12 +92,3 @@ def verify_table(a: InputSet, t: RepresentationTable) -> bool:
             return False
     return True
 
-
-def restricted_double(a: InputSet) -> tuple[GroupElement, ...]:
-    """All pairwise sums a_i + a_j with i <= j, as a canonical set (diagnostic view)."""
-    els = a.elements
-    sums = set()
-    for i in range(len(els)):
-        for j in range(i, len(els)):
-            sums.add(groups.add(els[i], els[j], a.spec))
-    return groups.canonical_elements(sums, a.spec)

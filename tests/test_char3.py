@@ -3,8 +3,7 @@ import pytest
 from conftest import Z, el, f3, full_nonzero, zmod, zset
 from zerosum import groups
 from zerosum.char3 import (AdditiveQuadruple, ZeroSumList, audit_char3, chain_extract,
-                           check_complement_generating, fp_basis, is_sidon, olson_bound,
-                           subgroup_closure, verify_quadruple)
+                           fp_basis, is_sidon, olson_bound, subgroup_closure, verify_quadruple)
 from zerosum.errors import NotSumFullError
 from zerosum.extractor import extract, verify_certificate
 from zerosum.groups import GroupSpec
@@ -87,21 +86,6 @@ class TestSubgroupClosure:
             assert groups.negate(x, Z12) in realized
             for y in realized:
                 assert groups.add(x, y, Z12) in realized
-
-
-class TestComplementGenerating:
-    def test_full_group_minus_basis_vector(self):
-        a = full_nonzero(f3(2))
-        e1 = a.positions()[el(f3(2), 1, 0)]
-        assert check_complement_generating(a, [e1])
-
-    def test_bare_basis_loses_generation(self):
-        F = f3(2)
-        a = InputSet.from_elements(F, [el(F, 1, 0), el(F, 0, 1)])
-        assert not check_complement_generating(a, [a.positions()[el(F, 0, 1)]])
-
-    def test_empty_removed_set(self):
-        assert check_complement_generating(full_nonzero(f3(2)), [])
 
 
 class TestChainExtract:

@@ -1,5 +1,12 @@
+import copy
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from zerosum.cli import dispatch
 
@@ -43,6 +50,72 @@ def test_extract_verify_round_trip():
     assert verdict == {"format": 1, "valid": True}
 
 
+def test_certificate_is_format_2_without_matrix():
+    code, cert, _ = run_json(["extract"], INSTANCE)
+    assert code == 0
+    assert cert["format"] == 2
+    assert set(cert["trail"]) == {"reps", "witness"}
+
+
+def _malformed_certificates(cert):
+    n = len(cert["elements"])
+    edits = {
+        "fractional witness rows": lambda c: c["trail"]["witness"].update(
+            rows=[r + 0.5 for r in c["trail"]["witness"]["rows"]]),
+        "float witness vector": lambda c: c["trail"]["witness"].update(
+            vector=[float(v) for v in c["trail"]["witness"]["vector"]]),
+        "boolean subset index": lambda c: c.update(subset=[True] + c["subset"][1:]),
+        "subset index out of range": lambda c: c.update(subset=c["subset"] + [n]),
+        "negative subset index": lambda c: c.update(subset=[-1] + c["subset"][1:]),
+        "rep with three indices": lambda c: c["trail"]["reps"][0].append(0),
+        "rep index out of range": lambda c: c["trail"]["reps"].__setitem__(0, [0, n]),
+        "reps not a list": lambda c: c["trail"].update(reps=7),
+        "trail not an object": lambda c: c.update(trail=[1]),
+        "missing witness": lambda c: c["trail"].pop("witness"),
+    }
+    for what, edit in edits.items():
+        bad = copy.deepcopy(cert)
+        edit(bad)
+        yield what, bad
+
+
+def test_verify_answers_invalid_on_malformed_certificate_parts():
+    _, cert, _ = run_json(["extract"], INSTANCE)
+    for what, bad in _malformed_certificates(cert):
+        code, verdict, _ = run_json(["verify"], bad)
+        assert (code, verdict) == (1, {"format": 1, "valid": False}), what
+
+
+def test_verify_rejects_malformed_instance_part():
+    _, cert, _ = run_json(["extract"], INSTANCE)
+    for field, value in (("free_rank", True), ("free_rank", 1.0), ("torsion", [7.0])):
+        bad = copy.deepcopy(cert)
+        bad["group"][field] = value
+        code, verdict, err = run_json(["verify"], bad)
+        assert (code, verdict) == (1, None)
+        assert "error" in err
+    bad = copy.deepcopy(cert)
+    bad["elements"][0] = [-3.0]
+    assert run_json(["verify"], bad)[:2] == (1, None)
+
+
+@pytest.mark.parametrize("free_rank", [1, 2])
+def test_extract_certifies_64_bit_edge_sets(free_rank):
+    c = 3 * 2**60
+    rows = [[k * c] + [k] * (free_rank - 1) for k in (-2, -1, 1, 2)]
+    instance = {"group": {"free_rank": free_rank, "torsion": []}, "elements": rows}
+    code, cert, _ = run_json(["extract"], instance)
+    assert code == 0
+    assert run_json(["verify"], cert)[:2] == (0, {"format": 1, "valid": True})
+
+
+def test_check_at_64_bit_edge_is_not_sum_full():
+    code, out, _ = run_json(["check"], {"group": {"free_rank": 1, "torsion": []},
+                                        "elements": [[-2**62], [2**62]]})
+    assert code == 2
+    assert out == {"format": 1, "sum_full": False, "witness_index": 0}
+
+
 def test_verify_rejects_tampering():
     _, cert, _ = run_json(["extract"], INSTANCE)
     cert["subset"] = cert["subset"][:-1]
@@ -83,6 +156,31 @@ def test_oracle_budget_exit_3():
                            json.dumps(instance))
     assert code == 3
     assert "exceeded" in err
+
+
+def test_oracle_budget_zero_rejected():
+    code, out, _ = run_cli(["oracle", "--input", "-", "--budget", "0"], json.dumps(INSTANCE))
+    assert code == 1
+    assert out == ""
+
+
+def test_flags_are_per_command():
+    code, out, _ = run_cli(["extract", "--input", "-", "--workers", "2"], json.dumps(INSTANCE))
+    assert code == 1
+    assert out == ""
+    assert run_cli(["check", "--input", "-", "--seed", "1"], json.dumps(INSTANCE))[0] == 1
+    assert run_cli(["gen", "--budget", "1"])[0] == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "zerosum", "check", "--input", "-"],
+                          input=json.dumps(INSTANCE), capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == run_cli(["check", "--input", "-"], json.dumps(INSTANCE))[1]
+    assert json.loads(proc.stdout)["sum_full"] is True
 
 
 def test_enumerate_with_verification():

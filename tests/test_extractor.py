@@ -1,12 +1,13 @@
 import dataclasses
+import io
+import json
 
 from conftest import el, full_nonzero, zmod, zset
-from zerosum import groups
-from zerosum.extractor import Trail, build_matrix, extract, support, verify_certificate
+from zerosum import cli, formats, groups
+from zerosum.extractor import build_matrix, extract, support, verify_certificate
 from zerosum.gen import GenConfig, SplitMix64, random_sumfull_set
 from zerosum.oracle import brute_force_zero_sum
 from zerosum.sumfull import InputSet, NotSumFull, RepresentationTable, check_sum_full
-from zerosum.witness import ConstraintMatrix
 
 
 def test_build_matrix_distinct_indices():
@@ -88,13 +89,31 @@ def test_verify_rejects_dropped_index():
     assert not verify_certificate(tampered, a)
 
 
-def test_verify_rejects_flipped_matrix_sign():
-    a = full_nonzero(zmod(7))
+def _verify_reply(payload: dict) -> tuple[int, dict]:
+    out = io.StringIO()
+    code = cli.dispatch(["verify", "--input", "-"], stdin=io.StringIO(json.dumps(payload)),
+                        stdout=out, stderr=io.StringIO())
+    return code, json.loads(out.getvalue())
+
+
+def _legacy_certificate(a: InputSet) -> dict:
+    """A certificate as format 1 wrote it, with the class matrix embedded."""
     cert = extract(a)
-    entries = cert.trail.matrix.entries.copy()
-    entries[0, 0] = -entries[0, 0]
-    bad_trail = Trail(cert.trail.table, ConstraintMatrix(entries), cert.trail.witness)
-    assert not verify_certificate(dataclasses.replace(cert, trail=bad_trail), a)
+    payload = formats.certificate_to_json(a, cert)
+    payload["format"] = 1
+    payload["trail"]["matrix"] = build_matrix(cert.trail.table).tolist()
+    return payload
+
+
+def test_verify_accepts_legacy_matrix():
+    assert _verify_reply(_legacy_certificate(full_nonzero(zmod(7)))) == (
+        0, {"format": 1, "valid": True})
+
+
+def test_verify_rejects_flipped_matrix_sign():
+    payload = _legacy_certificate(full_nonzero(zmod(7)))
+    payload["trail"]["matrix"][0][0] = -payload["trail"]["matrix"][0][0]
+    assert _verify_reply(payload) == (1, {"format": 1, "valid": False})
 
 
 def test_verify_rejects_foreign_subset():

@@ -49,9 +49,8 @@ def test_shape_mismatch_rejected():
 
 
 def test_overflow_checked():
-    big = el(Z, INT64_MAX)
-    with pytest.raises(OverflowError):
-        groups.add(big, el(Z, 1), Z)
+    # the 64-bit range is checked when an element is built; sums are exact
+    assert groups.add(el(Z, INT64_MAX), el(Z, 1), Z).free == (2**63,)
     with pytest.raises(OverflowError):
         groups.element(Z, [INT64_MAX + 1])
 

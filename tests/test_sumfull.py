@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given
 
-from conftest import Z, el, f3, spec_with_elements, zmod, zset
+from conftest import Z, el, spec_with_elements, zmod, zset
 from zerosum import groups
-from zerosum.sumfull import InputSet, NotSumFull, check_sum_full, restricted_double, verify_table
+from zerosum.sumfull import InputSet, NotSumFull, check_sum_full, verify_table
 
 
 def test_symmetric_set_has_table():
@@ -49,21 +49,6 @@ def test_table_pairs_never_use_own_index():
     for k, (i, j) in enumerate(t.reps):
         assert i != k and j != k and i <= j
         assert groups.add(a.elements[i], a.elements[j], Z7) == a.elements[k]
-
-
-def test_restricted_double_examples():
-    assert [groups.coords(x) for x in restricted_double(zset(1))] == [[2]]
-    assert [groups.coords(x) for x in restricted_double(zset(1, 2))] == [[2], [3], [4]]
-    F = f3(2)
-    a = InputSet.from_elements(F, [el(F, 1, 0), el(F, 0, 1)])
-    assert set(restricted_double(a)) == {el(F, 2, 0), el(F, 1, 1), el(F, 0, 2)}
-
-
-def test_sum_fullness_iff_subset_of_restricted_double():
-    # every element must appear among pair sums of other elements
-    a = zset(-3, -2, -1, 1, 2, 3)
-    doubled = set(restricted_double(a))
-    assert set(a.elements) <= doubled
 
 
 @given(spec_with_elements())
