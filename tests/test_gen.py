@@ -4,8 +4,11 @@ from conftest import Z, el, f3, zmod
 from zerosum import groups
 from zerosum.gen import (GenConfig, SplitMix64, prune_to_sumfull, random_matrix, random_set,
                          random_sumfull_set)
+from zerosum.groups import GroupSpec
 from zerosum.sumfull import NotSumFull, check_sum_full
 from zerosum.witness import validate_membership
+
+Z2 = GroupSpec(2, ())
 
 
 def test_splitmix_reference_values():
@@ -61,15 +64,16 @@ def test_prune_cascade_gives_none():
 
 
 def test_prune_fixpoints_are_sum_full():
-    produced = 0
-    for seed in range(1000):
-        cfg = GenConfig(seed=seed, group=Z, mode="prune_closure", count=20, bound=50)
-        inst = random_sumfull_set(cfg)
-        if inst is None:
-            continue
-        assert not isinstance(check_sum_full(inst), NotSumFull)
-        produced += 1
-    assert produced > 10
+    for group, bound in ((Z, 50), (Z2, 4), (f3(4), 0)):
+        produced = 0
+        for seed in range(1000):
+            cfg = GenConfig(seed=seed, group=group, mode="prune_closure", count=20, bound=bound)
+            inst = random_sumfull_set(cfg)
+            if inst is None:
+                continue
+            assert not isinstance(check_sum_full(inst), NotSumFull)
+            produced += 1
+        assert produced > 10, group
 
 
 def _prune_one_at_a_time(spec, elements, reverse):
@@ -93,14 +97,15 @@ def _prune_one_at_a_time(spec, elements, reverse):
 
 
 def test_prune_fixpoint_is_order_independent():
-    rng = SplitMix64(31)
-    for _ in range(1000):
-        cfg = GenConfig(seed=rng.next_u64(), group=Z, mode="random_set",
-                        count=1 + rng.below(14), bound=12)
-        els = random_set(cfg)
-        batch = prune_to_sumfull(Z, els)
-        assert batch == _prune_one_at_a_time(Z, els, reverse=False)
-        assert batch == _prune_one_at_a_time(Z, els, reverse=True)
+    for group, bound in ((Z, 12), (Z2, 2), (f3(4), 0)):
+        rng = SplitMix64(31)
+        for _ in range(1000):
+            cfg = GenConfig(seed=rng.next_u64(), group=group, mode="random_set",
+                            count=1 + rng.below(14), bound=bound)
+            els = random_set(cfg)
+            batch = prune_to_sumfull(group, els)
+            assert batch == _prune_one_at_a_time(group, els, reverse=False)
+            assert batch == _prune_one_at_a_time(group, els, reverse=True)
 
 
 def test_config_validation():

@@ -55,17 +55,19 @@ def test_table_pairs_never_use_own_index():
 def test_check_sum_full_verdicts_verify(case):
     spec, els = case
     a = InputSet.from_elements(spec, els)
+    n = len(a.elements)
+
+    def pairs(k):
+        # every representation of a_k by two other elements, by brute force
+        return [(i, j) for i in range(n) for j in range(i, n)
+                if i != k and j != k
+                and groups.add(a.elements[i], a.elements[j], spec) == a.elements[k]]
+
     verdict = check_sum_full(a)
     if isinstance(verdict, NotSumFull):
         k = verdict.witness_index
-        target = a.elements[k]
-        pairs = [
-            (i, j)
-            for i in range(len(a.elements))
-            for j in range(i, len(a.elements))
-            if i != k and j != k
-            and groups.add(a.elements[i], a.elements[j], spec) == target
-        ]
-        assert pairs == []
+        assert pairs(k) == []
+        assert all(pairs(e) for e in range(k))  # k is the least unrepresentable index
     else:
         assert verify_table(a, verdict)
+        assert list(verdict.reps) == [min(pairs(k)) for k in range(n)]
