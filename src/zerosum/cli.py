@@ -177,19 +177,22 @@ def cmd_audit3(args, stdin, stdout) -> int:
     return EXIT_OK
 
 
-def _gen_config(args, obj: Optional[dict]) -> GenConfig:
-    obj = obj or {}
-    seed = args.seed if args.seed is not None else int(obj.get("seed", 0))
-    mode = args.mode or obj.get("mode", "prune_closure")
+def _gen_config(args, obj) -> GenConfig:
+    if not isinstance(obj, dict):
+        raise InputFormatError("the config must be a JSON object")
+
+    def field(key, kind, default):
+        return formats.require_field(obj, key, kind) if key in obj else default
+
+    seed = args.seed if args.seed is not None else field("seed", int, 0)
+    mode = args.mode or field("mode", str, "prune_closure")
     group = formats.group_from_json(obj["group"]) if "group" in obj else groups.GroupSpec(1, ())
-    count = int(obj.get("count", 20))
-    bound = int(obj.get("bound", 50))
-    return GenConfig(seed=seed, group=group, mode=mode, count=count, bound=bound)
+    return GenConfig(seed=seed, group=group, mode=mode,
+                     count=field("count", int, 20), bound=field("bound", int, 50))
 
 
 def cmd_gen(args, stdin, stdout) -> int:
-    obj = _read_json(args, stdin) if args.input else None
-    cfg = _gen_config(args, obj)
+    cfg = _gen_config(args, _read_json(args, stdin) if args.input else {})
     if cfg.mode == "random_matrix":
         if args.n is None:
             raise InputFormatError("gen --mode random_matrix needs --n")
@@ -234,8 +237,7 @@ def _fuzz_shard(task: tuple[dict, tuple[int, ...]]) -> dict:
 
 
 def cmd_fuzz(args, stdin, stdout) -> int:
-    obj = _read_json(args, stdin) if args.input else None
-    cfg = _gen_config(args, obj)
+    cfg = _gen_config(args, _read_json(args, stdin) if args.input else {})
     if cfg.mode not in ("prune_closure", "full_nonzero"):
         raise InputFormatError("fuzz supports prune_closure and full_nonzero modes")
     runs = args.n if args.n is not None else 100

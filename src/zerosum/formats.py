@@ -135,13 +135,19 @@ def certificate_to_json(a: InputSet, c: ZeroSumCertificate) -> dict:
 
 
 def certificate_from_json(obj: Any) -> tuple[InputSet, Optional[ZeroSumCertificate]]:
-    """The instance (malformed: raises) and the certificate (malformed subset or trail: None)."""
+    """The instance (malformed: raises) and the certificate (None on a malformed subset
+    or trail, or a format other than 1 or 2 or not matching the trail)."""
     a = instance_from_json(obj)
     try:
         subset = strict_ints(require_field(obj, "subset", list), "'subset'")
         if any(k < 0 or k >= len(a.elements) for k in subset):
             raise InputFormatError("certificate subset index out of range")
         raw_trail = obj.get("trail")
+        fmt = obj.get("format")
+        has_matrix = isinstance(raw_trail, dict) and "matrix" in raw_trail
+        if (type(fmt) is not int or fmt not in (1, CERTIFICATE_FORMAT)
+                or raw_trail is not None and (fmt == 1) != has_matrix):
+            raise InputFormatError("format 1 trails embed the matrix, format 2 trails do not")
         trail = None if raw_trail is None else trail_from_json(raw_trail)
     except InputFormatError:
         return a, None

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import groups
 from .groups import GroupElement, GroupSpec
-from .sumfull import InputSet, NotSumFull, check_sum_full
+from .sumfull import InputSet, NotSumFull, check_sum_full, least_pairs
 from .witness import ConstraintMatrix
 
 MASK64 = 2**64 - 1
@@ -111,38 +111,25 @@ def random_set(cfg: GenConfig) -> tuple[GroupElement, ...]:
     return groups.canonical_elements(drawn, cfg.group)
 
 
-def _has_representation(els: list[GroupElement], pos: dict[GroupElement, int],
-                        k: int, g: GroupSpec) -> bool:
-    target = els[k]
-    for i, x in enumerate(els):
-        if i == k:
-            continue
-        j = pos.get(groups.sub(target, x, g))
-        if j is not None and j != k:
-            return True
-    return False
-
-
 def prune_to_sumfull(spec: GroupSpec, elements: tuple[GroupElement, ...]) -> tuple[GroupElement, ...]:
     """Delete all currently unrepresentable elements at once until a fixpoint.
 
     The fixpoint is the largest sum-full subset, so it does not depend on the
-    deletion order.
+    deletion order; its last round found a representation for every survivor.
     """
-    cur = list(elements)
+    cur = elements
     while cur:
-        pos = {x: i for i, x in enumerate(cur)}
-        keep = [x for k, x in enumerate(cur) if _has_representation(cur, pos, k, spec)]
+        keep = tuple(x for x, pair in zip(cur, least_pairs(spec, cur)) if pair is not None)
         if len(keep) == len(cur):
             break
         cur = keep
-    return tuple(cur)
+    return cur
 
 
 def random_sumfull_set(cfg: GenConfig) -> Optional[InputSet]:
-    """full_nonzero: all nonzero elements of a finite group; prune_closure: a random
-    draw pruned to its sum-full fixpoint.  Either way the result is verified
-    sum-full before being returned; None is a valid outcome."""
+    """full_nonzero: all nonzero elements of a finite group, checked sum-full;
+    prune_closure: a random draw pruned to its sum-full fixpoint, which needs
+    no second check.  None is a valid outcome."""
     if cfg.mode == "full_nonzero":
         g = cfg.group
         if not g.is_finite():
@@ -156,13 +143,8 @@ def random_sumfull_set(cfg: GenConfig) -> Optional[InputSet]:
         if not els:
             return None
         candidate = InputSet(g, els)
-    elif cfg.mode == "prune_closure":
+        return None if isinstance(check_sum_full(candidate), NotSumFull) else candidate
+    if cfg.mode == "prune_closure":
         survivors = prune_to_sumfull(cfg.group, random_set(cfg))
-        if not survivors:
-            return None
-        candidate = InputSet(cfg.group, survivors)
-    else:
-        raise ValueError(f"mode {cfg.mode!r} does not generate sum-full sets")
-    if isinstance(check_sum_full(candidate), NotSumFull):
-        return None
-    return candidate
+        return InputSet(cfg.group, survivors) if survivors else None
+    raise ValueError(f"mode {cfg.mode!r} does not generate sum-full sets")

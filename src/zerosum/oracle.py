@@ -26,11 +26,10 @@ ENUMERATE_MAX_N = 6
 @dataclass(frozen=True)
 class SearchBudget:
     max_n: int = 25
-    max_group: int = 10**6
     time_cap: float = 30.0
 
     def __post_init__(self):
-        if self.max_n <= 0 or self.max_group <= 0 or self.time_cap <= 0:
+        if self.max_n <= 0 or self.time_cap <= 0:
             raise ValueError("budget fields must be positive")
 
 

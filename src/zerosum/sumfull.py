@@ -2,13 +2,14 @@
 
 A set is sum-full when every element is a sum of two *other* elements of the
 set (the two summands may coincide with each other, never with the element
-they represent).  check_sum_full either fixes one representation per element
-or reports the least element that has none.
+they represent).  least_pairs is the one search for such representations:
+check_sum_full either fixes one representation per element from it or reports
+the least element that has none, and the generator's prune filters on it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import groups
 from .groups import GroupElement, GroupSpec
@@ -52,31 +53,36 @@ class NotSumFull:
     witness_index: int
 
 
-def check_sum_full(a: InputSet) -> Union[RepresentationTable, NotSumFull]:
-    """Fix the lexicographically least representation (i, j) per element, or fail.
+def least_pairs(spec: GroupSpec,
+                elements: Sequence[GroupElement]) -> Iterator[Optional[tuple[int, int]]]:
+    """For each index k in turn, the least pair (i, j), i <= j, both different
+    from k, with a_i + a_j = a_k, or None when a_k has no such pair.
 
-    The scan over i ascending finds the least valid pair: for each i the
-    partner j is unique (j = position of a_k - a_i), and any valid pair with
-    j < i was already visited as (j, i).
+    Lazy, so a caller may stop at the first None.  The scan over i ascending
+    finds the least pair: for each i the partner j is unique (the position of
+    a_k - a_i), and a pair with j < i would have been found earlier as (j, i).
     """
-    els = a.elements
-    n = len(els)
-    pos = a.positions()
-    negs = [groups.negate(x, a.spec) for x in els]
-    reps = []
-    for k, target in enumerate(els):
-        found = None
-        for i in range(n):
+    pos = {x: k for k, x in enumerate(elements)}
+    negs = [groups.negate(x, spec) for x in elements]
+    for k, target in enumerate(elements):
+        for i, neg in enumerate(negs):
             if i == k:
                 continue
-            j = pos.get(groups.add(target, negs[i], a.spec))
-            if j is None or j == k or j < i:
-                continue
-            found = (i, j)
-            break
-        if found is None:
+            j = pos.get(groups.add(target, neg, spec))
+            if j is not None and j != k:
+                yield i, j
+                break
+        else:
+            yield None
+
+
+def check_sum_full(a: InputSet) -> Union[RepresentationTable, NotSumFull]:
+    """Fix the lexicographically least representation (i, j) per element, or fail."""
+    reps = []
+    for k, pair in enumerate(least_pairs(a.spec, a.elements)):
+        if pair is None:
             return NotSumFull(k)
-        reps.append(found)
+        reps.append(pair)
     return RepresentationTable(tuple(reps))
 
 

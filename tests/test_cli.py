@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from zerosum.cli import dispatch
+from zerosum.extractor import build_matrix
+from zerosum.sumfull import RepresentationTable
 
 
 def run_cli(argv, stdin_text=""):
@@ -23,6 +25,8 @@ def run_json(argv, payload):
     return code, parsed, err
 
 
+VALID = {"format": 1, "valid": True}
+INVALID = {"format": 1, "valid": False}
 INSTANCE = {"format": 1, "group": {"free_rank": 1, "torsion": []},
             "elements": [[-3], [-2], [-1], [1], [2], [3]]}
 
@@ -72,6 +76,15 @@ def _malformed_certificates(cert):
         "reps not a list": lambda c: c["trail"].update(reps=7),
         "trail not an object": lambda c: c.update(trail=[1]),
         "missing witness": lambda c: c["trail"].pop("witness"),
+        "format 7": lambda c: c.update(format=7),
+        "string format": lambda c: c.update(format="two"),
+        "null format": lambda c: c.update(format=None),
+        "boolean format": lambda c: c.update(format=True),
+        "float format": lambda c: c.update(format=2.0),
+        "missing format": lambda c: c.pop("format"),
+        "format 1 without trail matrix": lambda c: c.update(format=1),
+        "format 2 with trail matrix": lambda c: c["trail"].update(
+            matrix=build_matrix(RepresentationTable(c["trail"]["reps"])).tolist()),
     }
     for what, edit in edits.items():
         bad = copy.deepcopy(cert)
@@ -84,6 +97,14 @@ def test_verify_answers_invalid_on_malformed_certificate_parts():
     for what, bad in _malformed_certificates(cert):
         code, verdict, _ = run_json(["verify"], bad)
         assert (code, verdict) == (1, {"format": 1, "valid": False}), what
+
+
+def test_verify_null_trail_formats():
+    _, cert, _ = run_json(["extract"], {"group": {"free_rank": 1, "torsion": []},
+                                        "elements": [[-1], [0], [1]]})
+    assert cert["trail"] is None
+    for fmt, reply in ((2, (0, VALID)), (1, (0, VALID)), (7, (1, INVALID)), (True, (1, INVALID))):
+        assert run_json(["verify"], dict(cert, format=fmt))[:2] == reply, fmt
 
 
 def test_verify_rejects_malformed_instance_part():
@@ -268,6 +289,14 @@ def test_gen_prune_none_is_valid_output():
     assert code == 0
     parsed = json.loads(out)
     assert parsed["elements"] is None or parsed["elements"]
+
+
+@pytest.mark.parametrize("command", ["gen", "fuzz"])
+def test_gen_config_is_decoded_strictly(command):
+    for cfg in ({"seed": 1.7}, {"count": True}, {"bound": 4.9}, {"mode": 5}, [1, 2], None):
+        code, out, err = run_cli([command, "--n", "1", "--input", "-"], json.dumps(cfg))
+        assert (code, out) == (1, ""), cfg
+        assert "error" in err
 
 
 def test_fuzz_summary():
