@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import IO, Optional
+from dataclasses import replace
+from typing import IO, Optional, Union
 
 from . import char3, formats, gen, groups
 from .errors import (BudgetExceeded, InternalVerificationError, MatrixClassError,
@@ -21,7 +23,8 @@ from .errors import (BudgetExceeded, InternalVerificationError, MatrixClassError
 from .extractor import extract, verify_certificate
 from .formats import FORMAT_VERSION, InputFormatError, dumps_canonical
 from .gen import GenConfig, random_matrix, random_set, random_sumfull_set
-from .oracle import SearchBudget, brute_force_zero_sum, enumerate_class, row_options
+from .oracle import (ENUMERATE_MAX_N, SearchBudget, brute_force_zero_sum, enumerate_class,
+                     row_options)
 from .sumfull import NotSumFull, check_sum_full
 from .witness import find_witness, verify_witness
 
@@ -105,10 +108,20 @@ def cmd_oracle(args, stdin, stdout) -> int:
     return EXIT_OK
 
 
-def _enumerate_shard(task: tuple[int, tuple[int, ...], bool]) -> tuple[int, int]:
-    n, shard, verify = task
+def _map(fn, items: list, workers: int) -> list:
+    """fn over items, results in item order; the pool never has more workers than items."""
+    if workers < 1:
+        raise InputFormatError(f"--workers must be >= 1, got {workers}")
+    if workers == 1 or len(items) <= 1:
+        return list(map(fn, items))
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        return list(pool.map(fn, items, chunksize=math.ceil(len(items) / workers)))
+
+
+def _enumerate_first_row(task: tuple[int, int, bool]) -> tuple[int, int]:
+    n, option, verify = task
     total = failures = 0
-    for m in enumerate_class(n, first_rows=shard):
+    for m in enumerate_class(n, first_rows=(option,)):
         total += 1
         if verify:
             if not verify_witness(m, find_witness(m)):
@@ -117,19 +130,14 @@ def _enumerate_shard(task: tuple[int, tuple[int, ...], bool]) -> tuple[int, int]
 
 
 def cmd_enumerate(args, stdin, stdout) -> int:
-    if args.n is None:
-        raise InputFormatError("enumerate needs --n")
     n = args.n
+    if n is None or n < 1:
+        raise InputFormatError("enumerate needs --n >= 1")
+    if n > ENUMERATE_MAX_N:
+        raise BudgetExceeded(f"class enumeration supports n <= {ENUMERATE_MAX_N}, got {n}")
     verify = args.verify_witness
-    option_count = len(row_options(n, 0))
-    workers = max(1, args.workers)
-    if workers == 1:
-        results = [_enumerate_shard((n, tuple(range(option_count)), verify))]
-    else:
-        shards = [tuple(range(k, option_count, workers)) for k in range(workers)]
-        tasks = [(n, shard, verify) for shard in shards if shard]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_enumerate_shard, tasks))
+    tasks = [(n, option, verify) for option in range(len(row_options(n, 0)))]
+    results = _map(_enumerate_first_row, tasks, args.workers)
     total = sum(r[0] for r in results)
     failures = sum(r[1] for r in results)
     payload = {"format": FORMAT_VERSION, "n": n, "total": total}
@@ -213,27 +221,16 @@ def cmd_gen(args, stdin, stdout) -> int:
     return EXIT_OK
 
 
-def _fuzz_shard(task: tuple[dict, tuple[int, ...]]) -> dict:
-    cfg_obj, seeds = task
-    group = formats.group_from_json(cfg_obj["group"])
-    instances = failures = 0
-    digest = hashlib.sha256()
-    reproducers = []
-    for seed in seeds:
-        cfg = GenConfig(seed=seed, group=group, mode=cfg_obj["mode"],
-                        count=cfg_obj["count"], bound=cfg_obj["bound"])
-        inst = random_sumfull_set(cfg)
-        if inst is None:
-            continue
-        instances += 1
-        cert = extract(inst)
-        if isinstance(cert, NotSumFull) or not verify_certificate(cert, inst):
-            failures += 1
-            reproducers.append(formats.instance_to_json(inst))
-            continue
-        digest.update(dumps_canonical(formats.certificate_to_json(inst, cert)).encode())
-    return {"runs": len(seeds), "instances": instances, "failures": failures,
-            "sha256": digest.hexdigest(), "reproducers": reproducers}
+def _fuzz_seed(cfg: GenConfig) -> Union[None, str, dict]:
+    """None when the seed yields no instance, the canonical certificate JSON when
+    it round-trips, else the instance JSON as a reproducer."""
+    inst = random_sumfull_set(cfg)
+    if inst is None:
+        return None
+    cert = extract(inst)
+    if isinstance(cert, NotSumFull) or not verify_certificate(cert, inst):
+        return formats.instance_to_json(inst)
+    return dumps_canonical(formats.certificate_to_json(inst, cert))
 
 
 def cmd_fuzz(args, stdin, stdout) -> int:
@@ -241,26 +238,17 @@ def cmd_fuzz(args, stdin, stdout) -> int:
     if cfg.mode not in ("prune_closure", "full_nonzero"):
         raise InputFormatError("fuzz supports prune_closure and full_nonzero modes")
     runs = args.n if args.n is not None else 100
-    seeds = tuple(cfg.seed + k for k in range(runs))
-    cfg_obj = {"group": formats.group_to_json(cfg.group), "mode": cfg.mode,
-               "count": cfg.count, "bound": cfg.bound}
-    workers = max(1, args.workers)
-    if workers == 1:
-        parts = [_fuzz_shard((cfg_obj, seeds))]
-    else:
-        chunks = [seeds[k::workers] for k in range(workers)]
-        tasks = [(cfg_obj, chunk) for chunk in chunks if chunk]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_fuzz_shard, tasks))
-    combined = hashlib.sha256()
-    for part in parts:
-        combined.update(part["sha256"].encode())
+    if runs < 1:
+        raise InputFormatError(f"fuzz needs --n >= 1, got {runs}")
+    tasks = [replace(cfg, seed=cfg.seed + k) for k in range(runs)]
+    results = [r for r in _map(_fuzz_seed, tasks, args.workers) if r is not None]
+    certificates = "".join(r for r in results if isinstance(r, str))
+    reproducers = [r for r in results if isinstance(r, dict)]
     payload = {"format": FORMAT_VERSION,
-               "runs": sum(p["runs"] for p in parts),
-               "instances": sum(p["instances"] for p in parts),
-               "failures": sum(p["failures"] for p in parts),
-               "certificates_sha256": combined.hexdigest()}
-    reproducers = [r for p in parts for r in p["reproducers"]]
+               "runs": runs,
+               "instances": len(results),
+               "failures": len(reproducers),
+               "certificates_sha256": hashlib.sha256(certificates.encode()).hexdigest()}
     if reproducers:
         payload["reproducers"] = reproducers
     _emit(stdout, payload)

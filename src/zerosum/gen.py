@@ -18,6 +18,7 @@ from .witness import ConstraintMatrix
 
 MASK64 = 2**64 - 1
 FULL_NONZERO_MAX_ORDER = 10**6
+RANDOM_MATRIX_MAX_N = 2000
 
 MODES = ("random_matrix", "random_set", "prune_closure", "full_nonzero")
 
@@ -77,6 +78,8 @@ def random_matrix(n: int, seed: int) -> ConstraintMatrix:
     by a uniformly drawn weak composition over the off-diagonal slots."""
     if n < 1:
         raise ValueError("order must be >= 1")
+    if n > RANDOM_MATRIX_MAX_N:
+        raise ValueError(f"matrix order {n} exceeds the cap {RANDOM_MATRIX_MAX_N}")
     if n == 1:
         return ConstraintMatrix(np.array([[1]], dtype=np.int64))
     rng = SplitMix64(seed)

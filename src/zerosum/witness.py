@@ -82,31 +82,17 @@ def validate_membership(matrix) -> ConstraintMatrix:
     raise AssertionError("unreachable")
 
 
-def _subset_masks(n: int):
-    """Nonempty subsets of range(n) by increasing indicator bitmask, bit k <-> index k."""
-    for mask in range(1, 1 << n):
-        yield mask, [i for i in range(n) if mask >> i & 1]
-
-
 def _is_witness_vector(s: np.ndarray) -> bool:
     return bool(((s == 0) | (s == 1)).all() and (s == 1).any())
-
-
-def _base_case(cur: np.ndarray, idx: np.ndarray) -> set[int]:
-    for _, rows in _subset_masks(cur.shape[0]):
-        if _is_witness_vector(cur[rows].sum(axis=0)):
-            return {int(idx[i]) for i in rows}
-    raise InternalVerificationError("no witness in a base-case matrix of the class")
 
 
 def find_witness(M: ConstraintMatrix, *, trace: Optional[TraceFn] = None) -> WitnessSubset:
     """Construct a witness subset for a matrix of the class.
 
     Reduction per step, all index choices smallest-first for determinism:
-      (a) order <= 2: exhaust nonempty row subsets;
-      (b) some diagonal entry >= 0: that row alone is a unit vector;
-      (c) every column has off-diagonal sum 2: all rows sum to the all-one vector;
-      (d) otherwise some column c has off-diagonal sum 0 or 1:
+      (a) some diagonal entry >= 0: that row alone is a unit vector;
+      (b) every column has off-diagonal sum 2: all rows sum to the all-one vector;
+      (c) otherwise some column c has off-diagonal sum 0 or 1:
           sum 0: drop row/column c and continue on the smaller matrix;
           sum 1: with p the row carrying the 1 in column c and q the column
           carrying row p's second 1, merge column p into column q, drop
@@ -124,9 +110,6 @@ def find_witness(M: ConstraintMatrix, *, trace: Optional[TraceFn] = None) -> Wit
 
     while True:
         m = cur.shape[0]
-        if m <= 2:
-            chosen = _base_case(cur, idx)
-            break
         diag = np.diagonal(cur)
         nonneg = np.flatnonzero(diag >= 0)
         if nonneg.size:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from zerosum import cli
 from zerosum.cli import dispatch
 from zerosum.extractor import build_matrix
 from zerosum.sumfull import RepresentationTable
@@ -211,9 +212,55 @@ def test_enumerate_with_verification():
 
 
 def test_enumerate_workers_merge_deterministically():
-    single = run_cli(["enumerate", "--n", "3", "--verify-witness"])
-    multi = run_cli(["enumerate", "--n", "3", "--verify-witness", "--workers", "3"])
-    assert single[1] == multi[1]
+    argv = ["enumerate", "--n", "3", "--verify-witness", "--workers"]
+    replies = {run_cli(argv + [w])[1] for w in ("1", "2", "3")}
+    assert len(replies) == 1
+    for w in ("0", "-1"):
+        assert run_cli(argv + [w])[:2] == (1, "")
+
+
+class _FakePool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def _record_pools(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda max_workers: _FakePool(sizes, max_workers))
+    return sizes
+
+
+def test_pool_is_sized_to_the_tasks(monkeypatch):
+    sizes = _record_pools(monkeypatch)
+    # enumerate --n 3 has one task per first-row option (6), fuzz --n 3 one per seed
+    for argv, tasks in ((["enumerate", "--n", "3"], 6), (["fuzz", "--n", "3"], 3)):
+        code, out, _ = run_cli(argv + ["--workers", "10000"])
+        assert code == 0
+        assert out == run_cli(argv)[1]
+        assert sizes.pop() == tasks
+    assert sizes == []
+
+
+def test_batch_orders_out_of_range_are_refused(monkeypatch):
+    sizes = _record_pools(monkeypatch)
+    for argv, code in ((["enumerate", "--n", "0"], 1), (["enumerate", "--n", "-3"], 1),
+                       (["enumerate"], 1), (["enumerate", "--n", "7"], 3),
+                       (["enumerate", "--n", "5000"], 3),
+                       (["fuzz", "--n", "0"], 1), (["fuzz", "--n", "-5"], 1)):
+        assert run_cli(argv + ["--workers", "2"])[:2] == (code, ""), argv
+    assert sizes == []
 
 
 def test_sidon_command():
@@ -273,6 +320,14 @@ def test_gen_matrix_and_pipe_into_matrix_witness():
     assert json.loads(out2)["rows"]
 
 
+def test_gen_random_matrix_order_is_capped():
+    # the cap is checked before the dense matrix is allocated
+    for n in ("0", "2001"):
+        code, out, err = run_cli(["gen", "--mode", "random_matrix", "--n", n])
+        assert (code, out) == (1, ""), n
+        assert "error" in err
+
+
 def test_gen_full_nonzero_pipes_into_extract():
     cfg = {"mode": "full_nonzero", "group": {"free_rank": 0, "torsion": [11]}}
     code, out, _ = run_cli(["gen", "--input", "-"], json.dumps(cfg))
@@ -309,12 +364,12 @@ def test_fuzz_summary():
 
 
 def test_fuzz_workers_deterministic():
-    # worker count changes scheduling, not the set of seeds, so counts agree
-    one = json.loads(run_cli(["fuzz", "--n", "30", "--seed", "5"])[1])
-    two = json.loads(run_cli(["fuzz", "--n", "30", "--seed", "5", "--workers", "2"])[1])
-    assert one["runs"] == two["runs"]
-    assert one["instances"] == two["instances"]
-    assert one["failures"] == two["failures"]
+    argv = ["fuzz", "--n", "30", "--seed", "5", "--workers"]
+    replies = {run_cli(argv + [w])[1] for w in ("1", "2", "3")}
+    assert len(replies) == 1
+    assert json.loads(replies.pop())["instances"] > 0
+    for w in ("0", "-1"):
+        assert run_cli(argv + [w])[:2] == (1, "")
 
 
 def test_malformed_json_exits_1():
