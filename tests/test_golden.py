@@ -1,21 +1,29 @@
-"""Golden digest of extraction outputs.
+"""Golden digests of extraction and witness outputs.
 
 Pins the subset, the representation table and the witness that `extract`
 returns on fixed inputs, so a change to the certificate's encoding or to the
 internals of the pipeline can be shown not to change what is certified.
 The inputs are the 210 `full_nonzero` groups of acceptance criterion 2 plus
 the `prune_closure` sets of Z (count 20, bound 50) for seeds 0..299.
+
+A second digest pins the (rows, vector) that `find_witness` returns on every
+class matrix of order <= 4 and on `random_matrix(n, s)` for n in {7, 40, 200}
+and s < 100, so a change to the matrix representation or to the reduction
+can be shown to keep the smallest-first choice of witness.
 """
 import hashlib
 import json
 
 from zerosum.extractor import extract
-from zerosum.gen import GenConfig, random_sumfull_set
+from zerosum.gen import GenConfig, random_matrix, random_sumfull_set
 from zerosum.groups import GroupSpec
+from zerosum.oracle import enumerate_class
 from zerosum.sumfull import NotSumFull
+from zerosum.witness import find_witness
 from test_acceptance import _criterion_2_specs
 
 GOLDEN_SHA256 = "f3b8438639a3fe7148a66873276bd85e85eefe0fde5cf45cc61118326bc0e379"
+WITNESS_SHA256 = "bea3fb5c30327a674256a3c6b26a5c5e04721191a363f24c0fed1aa9aa0e719a"
 
 
 def _instances():
@@ -51,3 +59,28 @@ def test_extraction_outputs_pinned():
     count, digest = golden_digest()
     assert count >= 210
     assert digest == GOLDEN_SHA256
+
+
+def _matrices():
+    for n in range(1, 5):
+        yield from enumerate_class(n)
+    for n in (7, 40, 200):
+        for seed in range(100):
+            yield random_matrix(n, seed)
+
+
+def witness_digest() -> tuple[int, str]:
+    hasher = hashlib.sha256()
+    count = 0
+    for m in _matrices():
+        w = find_witness(m)
+        hasher.update(json.dumps([list(w.rows), list(w.vector)], separators=(",", ":")).encode()
+                      + b"\n")
+        count += 1
+    return count, hasher.hexdigest()
+
+
+def test_witnesses_pinned():
+    count, digest = witness_digest()
+    assert count == 1 + 9 + 216 + 10_000 + 300
+    assert digest == WITNESS_SHA256
