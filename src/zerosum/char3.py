@@ -13,12 +13,14 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from . import groups
-from .errors import InternalVerificationError, NotSumFullError
+from .errors import BudgetExceeded, InternalVerificationError, NotSumFullError
 from .extractor import extract
 from .groups import GroupElement, GroupSpec
 from .sumfull import InputSet, NotSumFull, check_sum_full
 
 SUBGROUP_MAX_ORDER = 10**6
+OLSON_MAX_P = 10**9  # trial division of p <= 10^9 takes at most 31,623 steps
+OLSON_MAX_BITS = 4096  # each term p^a stays below 2^4096 (1,234 digits), so the reply prints
 
 
 @dataclass(frozen=True)
@@ -75,14 +77,14 @@ def is_sidon(b: Sequence[GroupElement], g: GroupSpec) -> Union[bool, AdditiveQua
     return True
 
 
-def subgroup_closure(gens: Sequence[GroupElement], g: GroupSpec,
-                     max_order: int = SUBGROUP_MAX_ORDER) -> SubgroupHandle:
+def subgroup_closure(gens: Sequence[GroupElement], g: GroupSpec) -> SubgroupHandle:
     """Breadth-first closure of the generators under addition.
 
     The trivial subgroup (no nonzero generators) is realized for any ambient
-    group; anything larger requires a finite ambient group of order <= max_order.
+    group; anything larger requires a finite ambient group of order at most
+    SUBGROUP_MAX_ORDER (BudgetExceeded above it).
     """
-    canonical = groups.canonical_elements(gens, g)
+    canonical = groups.canonical_elements(gens)
     z = groups.zero(g)
     nonzero = [x for x in canonical if x != z]
     if not nonzero:
@@ -91,8 +93,9 @@ def subgroup_closure(gens: Sequence[GroupElement], g: GroupSpec,
         raise ValueError("subgroup closure with nonzero generators needs a finite ambient group")
     order = g.order()
     assert order is not None
-    if order > max_order:
-        raise ValueError(f"ambient group order {order} exceeds the closure cap {max_order}")
+    if order > SUBGROUP_MAX_ORDER:
+        raise BudgetExceeded(f"ambient group order {order} exceeds the closure cap "
+                             f"{SUBGROUP_MAX_ORDER}")
     realized = {z}
     frontier = [z]
     while frontier:
@@ -102,7 +105,7 @@ def subgroup_closure(gens: Sequence[GroupElement], g: GroupSpec,
             if y not in realized:
                 realized.add(y)
                 frontier.append(y)
-    return SubgroupHandle(canonical, groups.canonical_elements(realized, g))
+    return SubgroupHandle(canonical, groups.canonical_elements(realized))
 
 
 def chain_extract(a: InputSet, h: SubgroupHandle) -> Union[ZeroSumList, AdditiveQuadruple]:
@@ -184,12 +187,21 @@ def _is_prime(p: int) -> bool:
 
 def olson_bound(p: int, invariants: Sequence[int]) -> int:
     """Largest length of a zero-sum-free sequence in the p-group with the given invariants:
-    sum of p^alpha_i minus the number of invariants; (p-1)*m in the elementary case."""
+    sum of p^alpha_i minus the number of invariants; (p-1)*m in the elementary case.
+
+    BudgetExceeded is raised for p above OLSON_MAX_P before the primality
+    test, and for an exponent a with a * bit_length(p) above OLSON_MAX_BITS
+    before any power is computed.
+    """
+    if p > OLSON_MAX_P:
+        raise BudgetExceeded(f"p exceeds the cap {OLSON_MAX_P}")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     exps = [int(x) for x in invariants]
     if not exps or any(x < 1 for x in exps):
         raise ValueError("invariants must be a nonempty list of exponents >= 1")
+    if max(exps) * p.bit_length() > OLSON_MAX_BITS:
+        raise BudgetExceeded(f"a term p^a of the bound may exceed the cap of {OLSON_MAX_BITS} bits")
     return sum(p**x for x in exps) - len(exps)
 
 

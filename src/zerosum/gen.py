@@ -12,6 +12,7 @@ from typing import Optional
 import numpy as np
 
 from . import groups
+from .errors import BudgetExceeded
 from .groups import GroupElement, GroupSpec
 from .sumfull import InputSet, NotSumFull, check_sum_full, least_pairs
 from .witness import ConstraintMatrix
@@ -79,7 +80,7 @@ def random_matrix(n: int, seed: int) -> ConstraintMatrix:
     if n < 1:
         raise ValueError("order must be >= 1")
     if n > RANDOM_MATRIX_MAX_N:
-        raise ValueError(f"matrix order {n} exceeds the cap {RANDOM_MATRIX_MAX_N}")
+        raise BudgetExceeded(f"matrix order {n} exceeds the cap {RANDOM_MATRIX_MAX_N}")
     if n == 1:
         return ConstraintMatrix(np.array([[1]], dtype=np.int64))
     rng = SplitMix64(seed)
@@ -111,7 +112,7 @@ def random_set(cfg: GenConfig) -> tuple[GroupElement, ...]:
     """cfg.count draws, deduplicated and canonically sorted (may come out smaller)."""
     rng = SplitMix64(cfg.seed)
     drawn = [_draw_element(rng, cfg.group, cfg.bound) for _ in range(cfg.count)]
-    return groups.canonical_elements(drawn, cfg.group)
+    return groups.canonical_elements(drawn)
 
 
 def prune_to_sumfull(spec: GroupSpec, elements: tuple[GroupElement, ...]) -> tuple[GroupElement, ...]:
@@ -140,7 +141,7 @@ def random_sumfull_set(cfg: GenConfig) -> Optional[InputSet]:
         order = g.order()
         assert order is not None
         if order > FULL_NONZERO_MAX_ORDER:
-            raise ValueError(f"group order {order} exceeds the cap {FULL_NONZERO_MAX_ORDER}")
+            raise BudgetExceeded(f"group order {order} exceeds the cap {FULL_NONZERO_MAX_ORDER}")
         z = groups.zero(g)
         els = tuple(x for x in groups.all_elements(g) if x != z)
         if not els:

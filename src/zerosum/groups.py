@@ -1,17 +1,18 @@
 """Finitely generated abelian groups Z^r x Z_{m_1} x ... x Z_{m_t} with exact arithmetic.
 
-Elements are immutable coordinate tuples: free coordinates first, then torsion
-residues stored reduced into [0, m_i).  Free coordinates are checked against
-the symmetric 64-bit range once, when an element is built; arithmetic on them
-is exact Python integer arithmetic and never wraps or raises, since
-certificates require exact sums.
+Elements are named tuples (free, torsion): free coordinates, then torsion
+residues stored reduced into [0, m_i).  Equality, hashing and the fixed total
+order (lexicographic on the free part, then the torsion part) are the tuple's.
+Free coordinates are checked against the symmetric 64-bit range once, when an
+element is built; arithmetic on them is exact Python integer arithmetic and
+never wraps or raises, since certificates require exact sums.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ShapeMismatch
 
@@ -45,8 +46,7 @@ class GroupSpec:
         return prod(self.torsion)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     free: tuple[int, ...] = ()
     torsion: tuple[int, ...] = ()
 
@@ -111,22 +111,9 @@ def scalar_sum(elements: Iterable[GroupElement], g: GroupSpec) -> GroupElement:
     return acc
 
 
-def sort_key(x: GroupElement) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Fixed total order: lexicographic on the free part, then the torsion part."""
-    return (x.free, x.torsion)
-
-
-def canonical_elements(elements: Iterable[GroupElement], g: GroupSpec) -> tuple[GroupElement, ...]:
-    """Duplicate-free, sorted under the fixed total order."""
-    seen = set()
-    out = []
-    for x in elements:
-        check_shape(x, g)
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    out.sort(key=sort_key)
-    return tuple(out)
+def canonical_elements(elements: Iterable[GroupElement]) -> tuple[GroupElement, ...]:
+    """Duplicate-free, sorted under the fixed total order; shapes are not checked."""
+    return tuple(sorted(set(elements)))
 
 
 def all_elements(g: GroupSpec) -> Iterator[GroupElement]:

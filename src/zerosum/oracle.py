@@ -14,23 +14,23 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from . import groups
-from .char3 import AdditiveQuadruple
+from .char3 import AdditiveQuadruple, _is_prime
 from .errors import BudgetExceeded
 from .groups import GroupElement, GroupSpec
 from .sumfull import InputSet
 from .witness import ConstraintMatrix
 
 ENUMERATE_MAX_N = 6
+BRUTE_FORCE_MAX_N = 25
 
 
 @dataclass(frozen=True)
 class SearchBudget:
-    max_n: int = 25
     time_cap: float = 30.0
 
     def __post_init__(self):
-        if self.max_n <= 0 or self.time_cap <= 0:
-            raise ValueError("budget fields must be positive")
+        if self.time_cap <= 0:
+            raise ValueError("time_cap must be positive")
 
 
 def brute_force_zero_sum(a: InputSet, budget: SearchBudget = SearchBudget()) -> Optional[tuple[int, ...]]:
@@ -41,8 +41,8 @@ def brute_force_zero_sum(a: InputSet, budget: SearchBudget = SearchBudget()) -> 
     one group addition per subset visited.
     """
     n = len(a.elements)
-    if n > budget.max_n:
-        raise BudgetExceeded(f"subset search supports n <= {budget.max_n}, got {n}")
+    if n > BRUTE_FORCE_MAX_N:
+        raise BudgetExceeded(f"subset search supports n <= {BRUTE_FORCE_MAX_N}, got {n}")
     g = a.spec
     z = groups.zero(g)
     prefix = [z]
@@ -108,13 +108,16 @@ def max_zero_sum_free_length(p: int, m: int, cap: int = 8) -> int:
     Sequences are built as nondecreasing index multisets of nonzero vectors,
     extending only while the achievable nonempty subset sums avoid zero.
     """
-    if p**m > 27:
-        raise BudgetExceeded(f"group order {p**m} exceeds the search cap 27")
-    if cap > 8 or cap < 1:
-        raise BudgetExceeded(f"length cap {cap} is outside [1, 8]")
     if m < 1:
         raise ValueError("dimension must be >= 1")
-    if not all(p % d for d in range(2, p)) or p < 2:
+    if p < 2:
+        raise ValueError(f"{p} is not prime")
+    # p >= 2, so m > 4 already gives p^m > 27; p^m is computed only when both are small
+    if p > 27 or m > 4 or p**m > 27:
+        raise BudgetExceeded("group order p^m exceeds the search cap 27")
+    if cap > 8 or cap < 1:
+        raise BudgetExceeded(f"length cap {cap} is outside [1, 8]")
+    if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     zero_vec = (0,) * m
     vectors = [v for v in itertools.product(range(p), repeat=m) if v != zero_vec]

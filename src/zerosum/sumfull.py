@@ -25,15 +25,14 @@ class InputSet:
     def __post_init__(self):
         if not self.elements:
             raise ValueError("input set is empty after deduplication")
-        keys = [groups.sort_key(x) for x in self.elements]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
+        if any(a >= b for a, b in zip(self.elements, self.elements[1:])):
             raise ValueError("elements must be strictly sorted and duplicate-free")
         for x in self.elements:
             groups.check_shape(x, self.spec)
 
     @classmethod
     def from_elements(cls, spec: GroupSpec, elements: Iterable[GroupElement]) -> "InputSet":
-        return cls(spec, groups.canonical_elements(elements, spec))
+        return cls(spec, groups.canonical_elements(elements))
 
     def positions(self) -> dict[GroupElement, int]:
         return {x: k for k, x in enumerate(self.elements)}

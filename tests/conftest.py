@@ -23,6 +23,13 @@ def zset(*values: int) -> InputSet:
     return InputSet.from_elements(Z, [el(Z, v) for v in values])
 
 
+class NoPower(int):
+    """An int whose powers raise, to show that a size cap is checked before p^m is computed."""
+
+    def __pow__(self, other, mod=None):
+        raise AssertionError("a power was computed before the size checks")
+
+
 def full_nonzero(spec: GroupSpec) -> InputSet:
     z = groups.zero(spec)
     return InputSet.from_elements(spec, [x for x in groups.all_elements(spec) if x != z])

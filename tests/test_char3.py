@@ -1,10 +1,10 @@
 import pytest
 
-from conftest import Z, el, f3, full_nonzero, zmod, zset
+from conftest import NoPower, Z, el, f3, full_nonzero, zmod, zset
 from zerosum import groups
 from zerosum.char3 import (AdditiveQuadruple, ZeroSumList, audit_char3, chain_extract,
                            fp_basis, is_sidon, olson_bound, subgroup_closure, verify_quadruple)
-from zerosum.errors import NotSumFullError
+from zerosum.errors import BudgetExceeded, NotSumFullError
 from zerosum.extractor import extract, verify_certificate
 from zerosum.groups import GroupSpec
 from zerosum.gen import GenConfig, SplitMix64, random_set, random_sumfull_set
@@ -74,7 +74,7 @@ class TestSubgroupClosure:
 
     def test_oversized_group_rejected(self):
         big = GroupSpec(0, (1009, 1009))
-        with pytest.raises(ValueError):
+        with pytest.raises(BudgetExceeded):
             subgroup_closure([el(big, 1, 0)], big)
 
     def test_closure_is_a_subgroup(self):
@@ -152,6 +152,14 @@ class TestOlsonBound:
             olson_bound(6, [1])
         with pytest.raises(ValueError):
             olson_bound(3, [0])
+
+    def test_caps(self):
+        # the largest prime below the cap on p, and the largest exponent of 3 within the bit cap
+        assert olson_bound(999_999_937, [1]) == 999_999_936
+        assert olson_bound(3, [2048]) == 3**2048 - 1
+        for p, invariants in ((10**9 + 7, [1]), (3, [2049]), (3, [3_000_000]), (3, [10**12])):
+            with pytest.raises(BudgetExceeded):
+                olson_bound(NoPower(p), invariants)
 
     def test_desk_scale_tightness(self):
         assert max_zero_sum_free_length(2, 2) == olson_bound(2, [1, 1]) == 2

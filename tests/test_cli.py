@@ -321,10 +321,25 @@ def test_gen_matrix_and_pipe_into_matrix_witness():
 
 
 def test_gen_random_matrix_order_is_capped():
-    # the cap is checked before the dense matrix is allocated
-    for n in ("0", "2001"):
+    # the cap is checked before the dense matrix is allocated; above it is a budget
+    for n, expected in (("0", 1), ("2001", 3)):
         code, out, err = run_cli(["gen", "--mode", "random_matrix", "--n", n])
-        assert (code, out) == (1, ""), n
+        assert (code, out) == (expected, ""), n
+        assert "error" in err
+
+
+def test_size_caps_exit_3():
+    f3_13 = {"free_rank": 0, "torsion": [3] * 13}
+    e1 = [1] + [0] * 12
+    cases = [
+        (["quadruple"], {"group": f3_13, "elements": [e1], "subgroup_generators": [e1]}),
+        (["gen"], {"mode": "full_nonzero", "group": {"free_rank": 0, "torsion": [1000003]}}),
+        (["olson"], {"p": 10**9 + 7, "invariants": [1]}),
+        (["olson"], {"p": 3, "invariants": [3000000]}),
+    ]
+    for argv, payload in cases:
+        code, out, err = run_json(argv, payload)
+        assert (code, out) == (3, None), argv
         assert "error" in err
 
 

@@ -6,6 +6,7 @@ from zerosum import groups
 from zerosum.errors import ShapeMismatch
 from zerosum.gen import SplitMix64
 from zerosum.groups import INT64_MAX, GroupSpec
+from zerosum.sumfull import InputSet
 
 
 def test_inverse_pair_in_z():
@@ -46,6 +47,8 @@ def test_shape_mismatch_rejected():
         groups.add(el(Z, 1), groups.zero(zmod(5)), Z)
     with pytest.raises(ShapeMismatch):
         groups.element(Z, [1, 2])
+    with pytest.raises(ShapeMismatch):
+        InputSet.from_elements(Z, [el(Z, 1), groups.zero(zmod(5))])
 
 
 def test_overflow_checked():
@@ -83,11 +86,21 @@ def test_group_axioms_bulk():
             assert groups.add(x, groups.negate(x, spec), spec) == z
 
 
+def test_canonical_order_is_free_then_torsion():
+    spec = GroupSpec(1, (3,))
+    els = [el(spec, *c) for c in ((1, 0), (0, 2), (-1, 2), (0, 1), (1, 0))]
+    canon = groups.canonical_elements(els)
+    assert [groups.coords(x) for x in canon] == [[-1, 2], [0, 1], [0, 2], [1, 0]]
+    # an element is the tuple of its fields
+    free, torsion = canon[0]
+    assert canon[0] == ((-1,), (2,)) == (free, torsion)
+
+
 @given(spec_with_elements())
 def test_canonical_form_idempotent(case):
     spec, els = case
-    canon = groups.canonical_elements(els, spec)
-    assert groups.canonical_elements(canon, spec) == canon
+    canon = groups.canonical_elements(els)
+    assert groups.canonical_elements(canon) == canon
     for x in canon:
         # re-reducing a stored element changes nothing
         assert groups.element(spec, groups.coords(x)) == x

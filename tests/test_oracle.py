@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import Z, zset
+from conftest import NoPower, Z, zset
 from zerosum.errors import BudgetExceeded
 from zerosum.gen import GenConfig, SplitMix64, random_sumfull_set
 from zerosum.oracle import (SearchBudget, brute_force_zero_sum, count_class, enumerate_class,
@@ -33,7 +33,7 @@ class TestBruteForce:
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
-            SearchBudget(max_n=0)
+            SearchBudget(time_cap=0)
 
     def test_sum_full_inputs_always_have_zero_sums(self):
         rng = SplitMix64(3)
@@ -109,3 +109,10 @@ class TestMaxZeroSumFree:
             max_zero_sum_free_length(3, 2, cap=3)
         with pytest.raises(ValueError):
             max_zero_sum_free_length(4, 1)
+        # sizes are refused before p^m is computed
+        for p, m in ((10**9 + 7, 1), (2, 10**12)):
+            with pytest.raises(BudgetExceeded):
+                max_zero_sum_free_length(NoPower(p), m)
+        for p, m in ((1, 3), (3, 0)):
+            with pytest.raises(ValueError):
+                max_zero_sum_free_length(p, m)
