@@ -5,7 +5,7 @@ from zerosum import groups
 from zerosum.gen import (GenConfig, SplitMix64, prune_to_sumfull, random_matrix, random_set,
                          random_sumfull_set)
 from zerosum.groups import GroupSpec
-from zerosum.sumfull import NotSumFull, check_sum_full
+from zerosum.sumfull import NotSumFull, check_sum_full, least_pairs
 from zerosum.witness import validate_membership
 
 Z2 = GroupSpec(2, ())
@@ -106,6 +106,57 @@ def test_prune_fixpoint_is_order_independent():
             batch = prune_to_sumfull(group, els)
             assert batch == _prune_one_at_a_time(group, els, reverse=False)
             assert batch == _prune_one_at_a_time(group, els, reverse=True)
+
+
+def _largest_sum_full_by_brute_force(spec, elements):
+    # every subset as a bitmask; a subset is sum-full when each member x has a
+    # pair y + z = x, both different from x, inside it
+    n = len(elements)
+    pos = {x: k for k, x in enumerate(elements)}
+    pair_masks = [[] for _ in range(n)]
+    for k, x in enumerate(elements):
+        for i, y in enumerate(elements):
+            j = pos.get(groups.sub(x, y, spec))
+            if i != k and j is not None and j != k:
+                pair_masks[k].append((1 << i) | (1 << j))
+    best = []
+    for mask in range(1 << n):
+        members = [k for k in range(n) if mask >> k & 1]
+        if all(any(p & mask == p for p in pair_masks[k]) for k in members):
+            if not best or len(members) > len(best[0]):
+                best = [members]
+            elif len(members) == len(best[0]):
+                best.append(members)
+    assert len(best) == 1  # the largest sum-full subset is unique
+    return tuple(elements[k] for k in best[0])
+
+
+def _prune_by_rounds(spec, elements):
+    # the round-based fixpoint: drop every element without a pair, until none is dropped
+    cur = elements
+    while True:
+        keep = tuple(x for x, pair in zip(cur, least_pairs(spec, cur)) if pair is not None)
+        if keep == cur:
+            return cur
+        cur = keep
+
+
+def test_prune_is_the_largest_sum_full_subset():
+    # 400 draws of 3 to 10 elements; each group has draws that the prune empties,
+    # shrinks, and keeps nonempty
+    for group, bound in ((Z, 4), (zmod(9), 0), (f3(2), 0), (GroupSpec(1, (2,)), 2)):
+        rng = SplitMix64(77)
+        shrunk = kept = 0
+        for _ in range(100):
+            cfg = GenConfig(seed=rng.next_u64(), group=group, mode="random_set",
+                            count=3 + rng.below(8), bound=bound)
+            els = random_set(cfg)
+            survivors = prune_to_sumfull(group, els)
+            assert survivors == _largest_sum_full_by_brute_force(group, els)
+            assert survivors == _prune_by_rounds(group, els)
+            shrunk += 0 < len(survivors) < len(els)
+            kept += len(survivors) > 0
+        assert shrunk >= 3 and 10 <= kept < 100, group
 
 
 def test_config_validation():
