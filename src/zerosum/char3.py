@@ -51,7 +51,8 @@ class SubgroupHandle:
 
 
 def verify_quadruple(q: AdditiveQuadruple, g: GroupSpec) -> bool:
-    if groups.add(q.a1, q.a2, g) != groups.add(q.a3, q.a4, g):
+    add = groups.arithmetic(g)[0]
+    if add(q.a1, q.a2) != add(q.a3, q.a4):
         return False
     same_pair = (q.a1 == q.a3 and q.a2 == q.a4) or (q.a1 == q.a4 and q.a2 == q.a3)
     return not same_pair
@@ -65,10 +66,11 @@ def is_sidon(b: Sequence[GroupElement], g: GroupSpec) -> Union[bool, AdditiveQua
     """
     if len(set(b)) != len(b):
         raise ValueError("is_sidon requires a duplicate-free list")
+    add = groups.arithmetic(g)[0]
     seen: dict[GroupElement, tuple[int, int]] = {}
     for i in range(len(b)):
         for j in range(i, len(b)):
-            s = groups.add(b[i], b[j], g)
+            s = add(b[i], b[j])
             prior = seen.get(s)
             if prior is not None:
                 k, l = prior
@@ -96,12 +98,13 @@ def subgroup_closure(gens: Sequence[GroupElement], g: GroupSpec) -> SubgroupHand
     if order > SUBGROUP_MAX_ORDER:
         raise BudgetExceeded(f"ambient group order {order} exceeds the closure cap "
                              f"{SUBGROUP_MAX_ORDER}")
+    add = groups.arithmetic(g)[0]
     realized = {z}
     frontier = [z]
     while frontier:
         x = frontier.pop()
         for gen in nonzero:
-            y = groups.add(x, gen, g)
+            y = add(x, gen)
             if y not in realized:
                 realized.add(y)
                 frontier.append(y)

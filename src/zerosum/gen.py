@@ -14,7 +14,7 @@ import numpy as np
 from . import groups
 from .errors import BudgetExceeded
 from .groups import GroupElement, GroupSpec
-from .sumfull import InputSet, NotSumFull, check_sum_full, least_pairs
+from .sumfull import InputSet, NotSumFull, check_sum_full
 from .witness import ConstraintMatrix
 
 MASK64 = 2**64 - 1
@@ -57,6 +57,8 @@ class GenConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.count < 1 or self.bound < 0:
             raise ValueError("count must be >= 1 and bound >= 0")
+        if self.bound > groups.INT64_MAX:
+            raise ValueError(f"bound {self.bound} leaves the checked 64-bit range")
 
 
 def _unrank_sorted_pair(t: int, slots: int) -> tuple[int, int]:
@@ -116,18 +118,33 @@ def random_set(cfg: GenConfig) -> tuple[GroupElement, ...]:
 
 
 def prune_to_sumfull(spec: GroupSpec, elements: tuple[GroupElement, ...]) -> tuple[GroupElement, ...]:
-    """Delete all currently unrepresentable elements at once until a fixpoint.
+    """The largest sum-full subset of elements, in their order, by peeling.
 
-    The fixpoint is the largest sum-full subset, so it does not depend on the
-    deletion order; its last round found a representation for every survivor.
+    Each element is searched once for a pair y + z of other survivors; an
+    element without one is deleted, and only the survivors whose pair used it
+    are searched again.  A member of the largest sum-full subset always keeps
+    a pair inside it, so it is never deleted, and once the worklist is empty
+    every survivor has a pair among the survivors: the result is that subset,
+    whatever the order of the searches.
     """
-    cur = elements
-    while cur:
-        keep = tuple(x for x, pair in zip(cur, least_pairs(spec, cur)) if pair is not None)
-        if len(keep) == len(cur):
-            break
-        cur = keep
-    return cur
+    add, negate = groups.arithmetic(spec)
+    alive = {x: negate(x) for x in elements}
+    users: dict[GroupElement, list[GroupElement]] = {x: [] for x in elements}
+    work = list(reversed(elements))
+    while work:
+        t = work.pop()
+        if t not in alive:
+            continue
+        for y, neg in alive.items():
+            z = add(t, neg)
+            if z in alive and z != t and y != t:
+                users[y].append(t)
+                users[z].append(t)
+                break
+        else:
+            del alive[t]
+            work.extend(users[t])
+    return tuple(x for x in elements if x in alive)
 
 
 def random_sumfull_set(cfg: GenConfig) -> Optional[InputSet]:

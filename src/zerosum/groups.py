@@ -6,13 +6,19 @@ order (lexicographic on the free part, then the torsion part) are the tuple's.
 Free coordinates are checked against the symmetric 64-bit range once, when an
 element is built; arithmetic on them is exact Python integer arithmetic and
 never wraps or raises, since certificates require exact sums.
+
+arithmetic(g) builds add and negate for one group once and checks no shapes;
+hot loops over elements whose shapes were checked at ingest call it.  add and
+negate below check both shapes, then delegate to it.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from operator import add as _int_add, neg as _int_neg
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ShapeMismatch
 
@@ -84,19 +90,47 @@ def zero(g: GroupSpec) -> GroupElement:
     return GroupElement((0,) * g.free_rank, (0,) * len(g.torsion))
 
 
+@lru_cache(maxsize=None)
+def arithmetic(g: GroupSpec) -> tuple[Callable[[GroupElement, GroupElement], GroupElement],
+                                      Callable[[GroupElement], GroupElement]]:
+    """add(x, y) and negate(x) for elements of g, built once per spec.
+
+    Shapes are not checked: elements of another shape give a wrong result
+    instead of ShapeMismatch.  The trivial group takes the free-only shape.
+    """
+    mods = g.torsion
+    if not mods:
+        def add(x: GroupElement, y: GroupElement) -> GroupElement:
+            return GroupElement(tuple(map(_int_add, x.free, y.free)), ())
+
+        def negate(x: GroupElement) -> GroupElement:
+            return GroupElement(tuple(map(_int_neg, x.free)), ())
+    elif not g.free_rank:
+        def add(x: GroupElement, y: GroupElement) -> GroupElement:
+            return GroupElement((), tuple([(a + b) % m for a, b, m in zip(x.torsion, y.torsion, mods)]))
+
+        def negate(x: GroupElement) -> GroupElement:
+            return GroupElement((), tuple([-a % m for a, m in zip(x.torsion, mods)]))
+    else:
+        def add(x: GroupElement, y: GroupElement) -> GroupElement:
+            return GroupElement(tuple(map(_int_add, x.free, y.free)),
+                                tuple([(a + b) % m for a, b, m in zip(x.torsion, y.torsion, mods)]))
+
+        def negate(x: GroupElement) -> GroupElement:
+            return GroupElement(tuple(map(_int_neg, x.free)),
+                                tuple([-a % m for a, m in zip(x.torsion, mods)]))
+    return add, negate
+
+
 def add(x: GroupElement, y: GroupElement, g: GroupSpec) -> GroupElement:
     check_shape(x, g)
     check_shape(y, g)
-    free = tuple(a + b for a, b in zip(x.free, y.free))
-    torsion = tuple((a + b) % m for a, b, m in zip(x.torsion, y.torsion, g.torsion))
-    return GroupElement(free, torsion)
+    return arithmetic(g)[0](x, y)
 
 
 def negate(x: GroupElement, g: GroupSpec) -> GroupElement:
     check_shape(x, g)
-    free = tuple(-a for a in x.free)
-    torsion = tuple((-a) % m for a, m in zip(x.torsion, g.torsion))
-    return GroupElement(free, torsion)
+    return arithmetic(g)[1](x)
 
 
 def sub(x: GroupElement, y: GroupElement, g: GroupSpec) -> GroupElement:
@@ -105,9 +139,10 @@ def sub(x: GroupElement, y: GroupElement, g: GroupSpec) -> GroupElement:
 
 def scalar_sum(elements: Iterable[GroupElement], g: GroupSpec) -> GroupElement:
     """Fold of add; the empty sum is zero."""
+    add = arithmetic(g)[0]
     acc = zero(g)
     for x in elements:
-        acc = add(acc, x, g)
+        acc = add(acc, x)
     return acc
 
 

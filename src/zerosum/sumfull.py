@@ -2,9 +2,10 @@
 
 A set is sum-full when every element is a sum of two *other* elements of the
 set (the two summands may coincide with each other, never with the element
-they represent).  least_pairs is the one search for such representations:
+they represent).  least_pairs is the one search for least representations:
 check_sum_full either fixes one representation per element from it or reports
-the least element that has none, and the generator's prune filters on it.
+the least element that has none.  Both trust the shapes checked at ingest and
+use the group's unchecked arithmetic.
 """
 from __future__ import annotations
 
@@ -61,13 +62,14 @@ def least_pairs(spec: GroupSpec,
     finds the least pair: for each i the partner j is unique (the position of
     a_k - a_i), and a pair with j < i would have been found earlier as (j, i).
     """
+    add, negate = groups.arithmetic(spec)
     pos = {x: k for k, x in enumerate(elements)}
-    negs = [groups.negate(x, spec) for x in elements]
+    negs = [negate(x) for x in elements]
     for k, target in enumerate(elements):
         for i, neg in enumerate(negs):
             if i == k:
                 continue
-            j = pos.get(groups.add(target, neg, spec))
+            j = pos.get(add(target, neg))
             if j is not None and j != k:
                 yield i, j
                 break
@@ -90,10 +92,11 @@ def verify_table(a: InputSet, t: RepresentationTable) -> bool:
     n = len(a.elements)
     if len(t.reps) != n:
         return False
+    add = groups.arithmetic(a.spec)[0]
     for k, (i, j) in enumerate(t.reps):
         if not (0 <= i <= j < n) or i == k or j == k:
             return False
-        if groups.add(a.elements[i], a.elements[j], a.spec) != a.elements[k]:
+        if add(a.elements[i], a.elements[j]) != a.elements[k]:
             return False
     return True
 

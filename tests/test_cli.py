@@ -369,6 +369,25 @@ def test_gen_config_is_decoded_strictly(command):
         assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["gen", "fuzz"])
+def test_gen_bound_beyond_64_bits_is_refused(command):
+    # a bound past 2^63 - 1 would draw coordinates that extract refuses at ingest
+    mode = "random_set" if command == "gen" else "prune_closure"
+    for bound in (2**63, 2**70):
+        cfg = {"seed": 3, "count": 6, "bound": bound, "mode": mode}
+        code, out, err = run_json([command, "--n", "2"], cfg)
+        assert (code, out) == (1, None), bound
+        assert "64-bit" in err
+
+
+def test_gen_at_the_largest_bound_ingests():
+    cfg = {"seed": 3, "count": 6, "bound": 2**63 - 1, "mode": "random_set"}
+    code, drawn, _ = run_json(["gen"], cfg)
+    assert code == 0
+    assert max(abs(c) for row in drawn["elements"] for c in row) > 2**62
+    assert run_json(["check"], drawn)[0] in (0, 2)
+
+
 def test_fuzz_summary():
     code, out, _ = run_cli(["fuzz", "--n", "40", "--seed", "0"])
     assert code == 0

@@ -5,7 +5,7 @@ from conftest import Z, el, f3, group_specs, spec_with_elements, zmod
 from zerosum import groups
 from zerosum.errors import ShapeMismatch
 from zerosum.gen import SplitMix64
-from zerosum.groups import INT64_MAX, GroupSpec
+from zerosum.groups import INT64_MAX, GroupElement, GroupSpec
 from zerosum.sumfull import InputSet
 
 
@@ -84,6 +84,36 @@ def test_group_axioms_bulk():
             assert groups.add(x, y, spec) == groups.add(y, x, spec)
             assert groups.add(x, z, spec) == x
             assert groups.add(x, groups.negate(x, spec), spec) == z
+
+
+def test_arithmetic_matches_checked_operations():
+    # random coordinates, with free ones at the edge of the 64-bit range mixed in
+    rng = SplitMix64(11)
+    for spec in (Z, GroupSpec(2, ()), f3(4), GroupSpec(1, (4,)), GroupSpec(0, ())):
+        add, negate = groups.arithmetic(spec)
+        free_values = (INT64_MAX, -INT64_MAX, 0, 1, -1)
+
+        def draw():
+            free = [free_values[rng.below(5)] if rng.below(2) else rng.below(201) - 100
+                    for _ in range(spec.free_rank)]
+            return groups.element(spec, free + [rng.below(m) for m in spec.torsion])
+
+        for _ in range(500):
+            x, y = draw(), draw()
+            exact = GroupElement(tuple(a + b for a, b in zip(x.free, y.free)),
+                                 tuple((a + b) % m for a, b, m in zip(x.torsion, y.torsion, spec.torsion)))
+            assert add(x, y) == groups.add(x, y, spec) == exact
+            assert negate(x) == groups.negate(x, spec)
+            assert add(x, negate(x)) == groups.zero(spec)
+
+
+def test_arithmetic_is_built_once_per_spec():
+    assert groups.arithmetic(GroupSpec(1, (4,))) is groups.arithmetic(GroupSpec(1, [4]))
+    assert groups.arithmetic(GroupSpec(1, (4,))) != groups.arithmetic(GroupSpec(1, (5,)))
+    with pytest.raises(ShapeMismatch):
+        groups.add(el(f3(2), 1, 2), el(f3(3), 1, 2, 0), f3(2))
+    with pytest.raises(ShapeMismatch):
+        groups.negate(el(Z, 1), f3(1))
 
 
 def test_canonical_order_is_free_then_torsion():
