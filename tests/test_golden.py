@@ -10,6 +10,10 @@ A second digest pins the (rows, vector) that `find_witness` returns on every
 class matrix of order <= 4 and on `random_matrix(n, s)` for n in {7, 40, 200}
 and s < 100, so a change to the matrix representation or to the reduction
 can be shown to keep the smallest-first choice of witness.
+
+A third digest pins the matrices that `random_matrix(n, s)` draws for n in
+{1, 2, 3, 6, 40} and s < 50, so a change to how a draw is stored can be shown
+to keep the SplitMix64 stream and the instances it produces.
 """
 import hashlib
 import json
@@ -24,6 +28,7 @@ from test_acceptance import _criterion_2_specs
 
 GOLDEN_SHA256 = "f3b8438639a3fe7148a66873276bd85e85eefe0fde5cf45cc61118326bc0e379"
 WITNESS_SHA256 = "bea3fb5c30327a674256a3c6b26a5c5e04721191a363f24c0fed1aa9aa0e719a"
+RANDOM_MATRIX_SHA256 = "5e9806a116931b647e509a1bb87ca51dfb5265c538b51731342fccc1adfa0705"
 
 
 def _instances():
@@ -84,3 +89,15 @@ def test_witnesses_pinned():
     count, digest = witness_digest()
     assert count == 1 + 9 + 216 + 10_000 + 300
     assert digest == WITNESS_SHA256
+
+
+def test_random_matrices_pinned():
+    hasher = hashlib.sha256()
+    count = 0
+    for n in (1, 2, 3, 6, 40):
+        for seed in range(50):
+            rows = random_matrix(n, seed).tolist()
+            hasher.update(json.dumps(rows, separators=(",", ":")).encode() + b"\n")
+            count += 1
+    assert count == 250
+    assert hasher.hexdigest() == RANDOM_MATRIX_SHA256
