@@ -10,13 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-import numpy as np
-
 from . import groups
 from .errors import InternalVerificationError
-from .groups import GroupElement
 from .sumfull import InputSet, NotSumFull, RepresentationTable, check_sum_full, verify_table
-from .witness import ConstraintMatrix, WitnessSubset, find_witness, verify_witness
+from .witness import ConstraintMatrix, WitnessSubset, check_order, find_witness, verify_witness
 
 
 @dataclass(frozen=True)
@@ -30,19 +27,12 @@ class Trail:
 @dataclass(frozen=True)
 class ZeroSumCertificate:
     subset: tuple[int, ...]
-    elements: tuple[GroupElement, ...]
     trail: Optional[Trail]  # None only for the zero-element short-circuit
 
 
 def build_matrix(t: RepresentationTable) -> ConstraintMatrix:
-    """Row k: -1 at column k, +1 at columns i and j (accumulating to +2 when i = j)."""
-    n = len(t.reps)
-    a = np.zeros((n, n), dtype=np.int64)
-    for k, (i, j) in enumerate(t.reps):
-        a[k, k] -= 1
-        a[k, i] += 1
-        a[k, j] += 1
-    return ConstraintMatrix(a)
+    """The class matrix of the table: row k is e_i + e_j - e_k for reps[k] = (i, j)."""
+    return ConstraintMatrix.from_pairs(t.reps)
 
 
 def support(vector: tuple[int, ...]) -> tuple[int, ...]:
@@ -59,18 +49,17 @@ def extract(a: InputSet) -> Union[ZeroSumCertificate, NotSumFull]:
     z = groups.zero(a.spec)
     pos = a.positions()
     if z in pos:
-        k = pos[z]
-        return ZeroSumCertificate((k,), (z,), None)
+        return ZeroSumCertificate((pos[z],), None)
+    check_order(len(a.elements))
     t = check_sum_full(a)
     if isinstance(t, NotSumFull):
         return t
     m = build_matrix(t)
     w = find_witness(m)
     s = support(w.vector)
-    elements = tuple(a.elements[k] for k in s)
-    if groups.scalar_sum(elements, a.spec) != z:
+    if groups.scalar_sum([a.elements[k] for k in s], a.spec) != z:
         raise InternalVerificationError("witness support does not sum to zero")
-    return ZeroSumCertificate(s, elements, Trail(t, w))
+    return ZeroSumCertificate(s, Trail(t, w))
 
 
 def verify_certificate(c: ZeroSumCertificate, a: InputSet) -> bool:
@@ -80,10 +69,8 @@ def verify_certificate(c: ZeroSumCertificate, a: InputSet) -> bool:
         return False
     if any(k < 0 or k >= n for k in c.subset):
         return False
-    if c.elements != tuple(a.elements[k] for k in c.subset):
-        return False
     z = groups.zero(a.spec)
-    if groups.scalar_sum(c.elements, a.spec) != z:
+    if groups.scalar_sum([a.elements[k] for k in c.subset], a.spec) != z:
         return False
     trail = c.trail
     if trail is None:

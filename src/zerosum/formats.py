@@ -151,7 +151,7 @@ def certificate_from_json(obj: Any) -> tuple[InputSet, Optional[ZeroSumCertifica
         trail = None if raw_trail is None else trail_from_json(raw_trail)
     except InputFormatError:
         return a, None
-    return a, ZeroSumCertificate(subset, tuple(a.elements[k] for k in subset), trail)
+    return a, ZeroSumCertificate(subset, trail)
 
 
 def quadruple_to_json(q: AdditiveQuadruple) -> list[list[int]]:

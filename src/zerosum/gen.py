@@ -9,17 +9,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import groups
 from .errors import BudgetExceeded
 from .groups import GroupElement, GroupSpec
 from .sumfull import InputSet, NotSumFull, check_sum_full
-from .witness import ConstraintMatrix
+from .witness import ConstraintMatrix, check_order
 
 MASK64 = 2**64 - 1
 FULL_NONZERO_MAX_ORDER = 10**6
-RANDOM_MATRIX_MAX_N = 2000
+GEN_MAX_COUNT = 5000
 
 MODES = ("random_matrix", "random_set", "prune_closure", "full_nonzero")
 
@@ -59,6 +57,8 @@ class GenConfig:
             raise ValueError("count must be >= 1 and bound >= 0")
         if self.bound > groups.INT64_MAX:
             raise ValueError(f"bound {self.bound} leaves the checked 64-bit range")
+        if self.count > GEN_MAX_COUNT:
+            raise BudgetExceeded(f"count {self.count} exceeds the cap {GEN_MAX_COUNT}")
 
 
 def _unrank_sorted_pair(t: int, slots: int) -> tuple[int, int]:
@@ -77,31 +77,25 @@ def _unrank_sorted_pair(t: int, slots: int) -> tuple[int, int]:
 
 
 def random_matrix(n: int, seed: int) -> ConstraintMatrix:
-    """Per row: diagonal drawn from {-1, 0, 1}, the remaining mass 1 - d placed
-    by a uniformly drawn weak composition over the off-diagonal slots."""
+    """Per row k: diagonal d drawn from {-1, 0, 1} (1 when n = 1), the mass 1 - d placed by a
+    uniform weak composition over the off-diagonal slots; kept as row k = e_i + e_j - e_k."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    if n > RANDOM_MATRIX_MAX_N:
-        raise BudgetExceeded(f"matrix order {n} exceeds the cap {RANDOM_MATRIX_MAX_N}")
-    if n == 1:
-        return ConstraintMatrix(np.array([[1]], dtype=np.int64))
+    check_order(n)
     rng = SplitMix64(seed)
     slots = n - 1
-    a = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        d = rng.below(3) - 1
-        a[i, i] = d
-        w = 1 - d
-        if w == 1:
+    pairs = []
+    for k in range(n):
+        d = rng.below(3) - 1 if slots else 1
+        if d == 1:
+            pairs.append((k, k))
+        elif d == 0:
             s = rng.below(slots)
-            col = s if s < i else s + 1
-            a[i, col] += 1
-        elif w == 2:
+            pairs.append((k, s if s < k else s + 1))
+        else:
             x, y = _unrank_sorted_pair(rng.below(slots * (slots + 1) // 2), slots)
-            for s in (x, y):
-                col = s if s < i else s + 1
-                a[i, col] += 1
-    return ConstraintMatrix(a)
+            pairs.append((x if x < k else x + 1, y if y < k else y + 1))
+    return ConstraintMatrix.from_pairs(pairs)
 
 
 def _draw_element(rng: SplitMix64, g: GroupSpec, bound: int) -> GroupElement:

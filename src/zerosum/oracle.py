@@ -11,8 +11,6 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
-import numpy as np
-
 from . import groups
 from .char3 import AdditiveQuadruple, _is_prime
 from .errors import BudgetExceeded
@@ -98,8 +96,7 @@ def enumerate_class(n: int, first_rows: Optional[Sequence[int]] = None) -> Itera
         raise ValueError("order must be >= 1")
     per_row = [row_options(n, i) for i in range(n)]
     first = per_row[0] if first_rows is None else [per_row[0][k] for k in first_rows]
-    for rows in itertools.product(first, *per_row[1:]):
-        yield ConstraintMatrix(np.array(rows, dtype=np.int64))
+    yield from map(ConstraintMatrix.from_rows, itertools.product(first, *per_row[1:]))
 
 
 def max_zero_sum_free_length(p: int, m: int, cap: int = 8) -> int:

@@ -3,18 +3,19 @@
 Every such matrix admits a nonempty set of rows whose sum is a nonzero vector
 of zeros and ones.  find_witness constructs one by a reduction that removes
 one or two rows/columns per step; verify_witness and all_witnesses recheck
-results by direct arithmetic.
+results by direct arithmetic.  Every class matrix is built here, under MATRIX_MAX_N.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceeded, InternalVerificationError, MatrixClassError
 
 ALL_WITNESSES_MAX_N = 25
+MATRIX_MAX_N = 2000
 
 TraceFn = Callable[[np.ndarray, np.ndarray], None]
 
@@ -26,10 +27,8 @@ class ConstraintMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
+        if self.entries.ndim != 2 or not 0 < self.entries.shape[0] == self.entries.shape[1]:
             raise MatrixClassError("matrix is not square", 0, 0)
-        if self.entries.shape[0] == 0:
-            raise MatrixClassError("matrix is empty", 0, 0)
         self.entries.setflags(write=False)
 
     @property
@@ -44,6 +43,28 @@ class ConstraintMatrix:
     def tolist(self) -> list[list[int]]:
         return self.entries.tolist()
 
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> ConstraintMatrix:
+        check_order(len(rows))
+        return cls(np.array(rows, dtype=np.int64))
+
+    @classmethod
+    def from_pairs(cls, pairs: Sequence[tuple[int, int]]) -> ConstraintMatrix:
+        """Row k: -1 at column k, +1 at columns i and j of pairs[k] (accumulating to +2 when i = j)."""
+        n = len(pairs)
+        check_order(n)
+        a = np.zeros((n, n), dtype=np.int64)
+        np.fill_diagonal(a, -1)
+        for k, (i, j) in enumerate(pairs):
+            a[k, i] += 1
+            a[k, j] += 1
+        return cls(a)
+
+
+def check_order(n: int) -> None:
+    if n > MATRIX_MAX_N:
+        raise BudgetExceeded(f"matrix order {n} exceeds the cap {MATRIX_MAX_N}")
+
 
 @dataclass(frozen=True)
 class WitnessSubset:
@@ -53,23 +74,23 @@ class WitnessSubset:
     vector: tuple[int, ...]
 
 
-def validate_membership(matrix) -> ConstraintMatrix:
+def validate_membership(matrix: Sequence[Sequence[int]]) -> ConstraintMatrix:
     """Typed acceptance iff all three class invariants hold.
 
     Rejections report the first violation in row order: within each row the
     diagonal bound, then the off-diagonal bounds left to right, then the row sum.
     """
+    check_order(len(matrix))
     try:
         a = np.array(matrix, dtype=np.int64)
     except (TypeError, ValueError) as exc:
         raise MatrixClassError(f"matrix is not a rectangular integer array ({exc})", 0, 0) from exc
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise MatrixClassError("matrix is not square", 0, 0)
+    m = ConstraintMatrix(a)
     n = a.shape[0]
     diag = np.diagonal(a)
     off_ok = (a >= 0) | np.eye(n, dtype=bool)
     if (diag >= -1).all() and off_ok.all() and (a.sum(axis=1) == 1).all():
-        return ConstraintMatrix(a)
+        return m
     for i in range(n):
         if a[i, i] < -1:
             raise MatrixClassError(f"diagonal entry {a[i, i]} is below -1", i, i)

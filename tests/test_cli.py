@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from zerosum import cli
+from zerosum import cli, extractor, gen, witness
 from zerosum.cli import dispatch
 from zerosum.extractor import build_matrix
 from zerosum.sumfull import RepresentationTable
@@ -341,6 +341,64 @@ def test_size_caps_exit_3():
         code, out, err = run_json(argv, payload)
         assert (code, out) == (3, None), argv
         assert "error" in err
+
+
+def _refuse_representation_search(a):
+    raise AssertionError("check_sum_full ran before the matrix order cap")
+
+
+def test_matrix_order_cap_is_shared(monkeypatch):
+    # every command that builds a class matrix is refused past witness.MATRIX_MAX_N
+    _, cert, _ = run_json(["extract"], INSTANCE)
+    legacy = copy.deepcopy(cert)
+    legacy["format"] = 1
+    legacy["trail"]["matrix"] = build_matrix(RepresentationTable(cert["trail"]["reps"])).tolist()
+    identity = {"matrix": [[int(i == j) for j in range(6)] for i in range(6)]}
+    cases = [(["extract"], INSTANCE), (["verify"], cert), (["verify"], legacy),
+             (["matrix-witness"], identity)]
+    monkeypatch.setattr(extractor, "check_sum_full", _refuse_representation_search)
+    monkeypatch.setattr(witness, "MATRIX_MAX_N", 5)
+    for argv, payload in cases:
+        code, out, err = run_json(argv, payload)
+        assert (code, out) == (3, None), argv
+        assert "cap 5" in err, argv
+    code, out, err = run_cli(["gen", "--mode", "random_matrix", "--n", "6"])
+    assert (code, out) == (3, "")
+    assert "cap 5" in err
+    # at the cap every command answers
+    monkeypatch.undo()
+    monkeypatch.setattr(witness, "MATRIX_MAX_N", 6)
+    for argv, payload in cases:
+        assert run_json(argv, payload)[0] == 0, argv
+    assert run_cli(["gen", "--mode", "random_matrix", "--n", "6"])[0] == 0
+
+
+def test_verify_past_the_matrix_cap_exits_3():
+    # [-20000, 20000] \ {0} with well-formed reps: a dense class matrix of order
+    # 40,000 would need 12.8 GB, so the order cap refuses it before allocating
+    big = 20_000
+    values = list(range(-big, 0)) + list(range(1, big + 1))
+    pos = {v: k for k, v in enumerate(values)}
+
+    def rep(v):
+        i, j = {1: (2, -1), -1: (-2, 1)}.get(v, (v - 1, 1) if v > 0 else (v + 1, -1))
+        return sorted((pos[i], pos[j]))
+
+    cert = {"format": 2, "group": {"free_rank": 1, "torsion": []},
+            "elements": [[v] for v in values], "subset": [pos[-1], pos[1]], "sum_check": "zero",
+            "trail": {"reps": [rep(v) for v in values], "witness": {"rows": [0], "vector": [1]}}}
+    code, out, err = run_json(["verify"], cert)
+    assert (code, out) == (3, None)
+    assert f"cap {witness.MATRIX_MAX_N}" in err
+
+
+@pytest.mark.parametrize("command", ["gen", "fuzz"])
+def test_gen_count_is_capped(command):
+    # prune_closure costs about count^2 group operations, so count is refused first
+    cfg = {"seed": 0, "count": gen.GEN_MAX_COUNT + 1, "bound": 10**9, "mode": "prune_closure"}
+    code, out, err = run_json([command, "--n", "1"], cfg)
+    assert (code, out) == (3, None)
+    assert f"cap {gen.GEN_MAX_COUNT}" in err
 
 
 def test_gen_full_nonzero_pipes_into_extract():

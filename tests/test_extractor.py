@@ -52,7 +52,7 @@ def test_extract_mod_seven():
     a = full_nonzero(zmod(7))
     cert = extract(a)
     assert verify_certificate(cert, a)
-    assert groups.scalar_sum(cert.elements, a.spec) == groups.zero(a.spec)
+    assert groups.scalar_sum([a.elements[k] for k in cert.subset], a.spec) == groups.zero(a.spec)
     assert brute_force_zero_sum(a) is not None
 
 
@@ -84,8 +84,7 @@ def test_verify_rejects_dropped_index():
     cert = extract(a)
     assert verify_certificate(cert, a)
     assert len(cert.subset) > 1
-    tampered = dataclasses.replace(
-        cert, subset=cert.subset[1:], elements=cert.elements[1:])
+    tampered = dataclasses.replace(cert, subset=cert.subset[1:])
     assert not verify_certificate(tampered, a)
 
 
@@ -119,7 +118,7 @@ def test_verify_rejects_flipped_matrix_sign():
 def test_verify_rejects_foreign_subset():
     a = zset(-2, -1, 1, 2)
     cert = extract(a)
-    tampered = dataclasses.replace(cert, subset=(0,), elements=(a.elements[0],))
+    tampered = dataclasses.replace(cert, subset=(0,))
     assert not verify_certificate(tampered, a)
 
 

@@ -2,8 +2,9 @@ import pytest
 
 from conftest import Z, el, f3, zmod
 from zerosum import groups
-from zerosum.gen import (GenConfig, SplitMix64, prune_to_sumfull, random_matrix, random_set,
-                         random_sumfull_set)
+from zerosum.errors import BudgetExceeded
+from zerosum.gen import (GEN_MAX_COUNT, GenConfig, SplitMix64, prune_to_sumfull, random_matrix,
+                         random_set, random_sumfull_set)
 from zerosum.groups import GroupSpec
 from zerosum.sumfull import NotSumFull, check_sum_full, least_pairs
 from zerosum.witness import validate_membership
@@ -32,6 +33,12 @@ def test_draws_are_class_valid():
     # 10^5 draws at n = 50 all pass validation
     for seed in range(100_000):
         validate_membership(random_matrix(50, seed).entries)
+
+
+def test_count_cap_is_checked_before_drawing():
+    assert GenConfig(seed=0, group=Z, mode="random_set", count=GEN_MAX_COUNT).count == GEN_MAX_COUNT
+    with pytest.raises(BudgetExceeded):
+        GenConfig(seed=0, group=Z, mode="random_set", count=GEN_MAX_COUNT + 1)
 
 
 def test_random_set_deterministic_and_canonical():

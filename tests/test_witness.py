@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,3 +189,20 @@ def test_all_negative_diagonal_fuzz():
 
 def test_count_class_formula():
     assert [count_class(n) for n in (1, 2, 3, 4, 5)] == [1, 9, 216, 10_000, 759_375]
+
+
+def test_only_witness_imports_numpy():
+    # the storage of a class matrix is witness.py's decision alone
+    package = Path(__file__).resolve().parents[1] / "src" / "zerosum"
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.name)
+    assert importers == {"witness.py"}
