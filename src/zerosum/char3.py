@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from . import groups
-from .errors import BudgetExceeded, InternalVerificationError, NotSumFullError
+from .errors import BudgetExceeded, InternalVerificationError
 from .extractor import extract
 from .groups import GroupElement, GroupSpec
-from .sumfull import InputSet, NotSumFull, check_sum_full
+from .sumfull import InputSet, check_sum_full
 
 SUBGROUP_MAX_ORDER = 10**6
 OLSON_MAX_P = 10**9  # trial division of p <= 10^9 takes at most 31,623 steps
@@ -46,7 +46,6 @@ class ZeroSumList:
 
 @dataclass(frozen=True)
 class SubgroupHandle:
-    generators: tuple[GroupElement, ...]
     realized: tuple[GroupElement, ...]
 
 
@@ -86,11 +85,10 @@ def subgroup_closure(gens: Sequence[GroupElement], g: GroupSpec) -> SubgroupHand
     group; anything larger requires a finite ambient group of order at most
     SUBGROUP_MAX_ORDER (BudgetExceeded above it).
     """
-    canonical = groups.canonical_elements(gens)
     z = groups.zero(g)
-    nonzero = [x for x in canonical if x != z]
+    nonzero = [x for x in groups.canonical_elements(gens) if x != z]
     if not nonzero:
-        return SubgroupHandle(canonical, (z,))
+        return SubgroupHandle((z,))
     if not g.is_finite():
         raise ValueError("subgroup closure with nonzero generators needs a finite ambient group")
     order = g.order()
@@ -108,7 +106,7 @@ def subgroup_closure(gens: Sequence[GroupElement], g: GroupSpec) -> SubgroupHand
             if y not in realized:
                 realized.add(y)
                 frontier.append(y)
-    return SubgroupHandle(canonical, groups.canonical_elements(realized))
+    return SubgroupHandle(groups.canonical_elements(realized))
 
 
 def chain_extract(a: InputSet, h: SubgroupHandle) -> Union[ZeroSumList, AdditiveQuadruple]:
@@ -126,8 +124,6 @@ def chain_extract(a: InputSet, h: SubgroupHandle) -> Union[ZeroSumList, Additive
     if z in set(a.elements):
         return ZeroSumList((z,), True)
     table = check_sum_full(a)
-    if isinstance(table, NotSumFull):
-        raise NotSumFullError(table.witness_index)
     members = frozenset(h.realized)
     outside = [k for k, x in enumerate(a.elements) if x not in members]
     if not outside:
@@ -288,8 +284,6 @@ def audit_char3(a: InputSet) -> AuditReport:
     if not g.is_finite() or any(m != 3 for m in g.torsion):
         raise ValueError("audit requires an elementary abelian 3-group ambient")
     table = check_sum_full(a)
-    if isinstance(table, NotSumFull):
-        raise NotSumFullError(table.witness_index)
 
     n = len(a.elements)
     ambient_dim = len(g.torsion)
@@ -301,10 +295,8 @@ def audit_char3(a: InputSet) -> AuditReport:
     ok = n <= 2 * m
     steps.append(AuditStep("olson_count", ok, {"size": n, "bound": 2 * m, "rank": m}))
     if not ok:
-        cert = extract(a)
-        assert not isinstance(cert, NotSumFull)
         return AuditReport(n, ambient_dim, span_rank, restricted, tuple(steps),
-                           "olson_count", cert.subset)
+                           "olson_count", extract(a).subset)
 
     a_idx = 0
     b_idx, c_idx = table.reps[a_idx]
@@ -325,16 +317,15 @@ def audit_char3(a: InputSet) -> AuditReport:
                            "sidon_triple", surfaced)
     steps.append(AuditStep("sidon_triple", True, {"triple": triple_idx}))
 
-    complement = [x for k, x in enumerate(a.elements) if k not in set(triple_idx)]
-    ok = _rank_of(complement, ambient_dim) == m
-    if not ok:
+    comp_indices = [k for k in range(n) if k not in triple_idx]
+    complement = [a.elements[k] for k in comp_indices]
+    rank, local_basis = fp_basis([x.torsion for x in complement], 3, ambient_dim)
+    if rank != m:
         steps.append(AuditStep("complement_of_triple_generating", False,
                                {"removed": triple_idx}))
         surfaced = _surface_by_chain(a, complement)
         return AuditReport(n, ambient_dim, span_rank, restricted, tuple(steps),
                            "complement_of_triple_generating", surfaced)
-    comp_indices = [k for k in range(n) if k not in set(triple_idx)]
-    _, local_basis = fp_basis([a.elements[k].torsion for k in comp_indices], 3, ambient_dim)
     basis_idx = [comp_indices[t] for t in local_basis]
     steps.append(AuditStep("complement_of_triple_generating", True,
                            {"removed": triple_idx, "basis": basis_idx}))

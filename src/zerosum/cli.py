@@ -4,7 +4,8 @@ Every command reads JSON from --input (a path, or '-' for standard input) and
 writes a single JSON document to standard output; diagnostics go to standard
 error.  Exit codes: 0 success, 1 malformed input / class violation / failed
 verification, 2 not sum-full, 3 budget exceeded, 4 internal verification
-failure.
+failure.  Not sum-full is answered by dispatch alone, for every command, with
+{"format": 1, "sum_full": false, "witness_index": k} on standard output.
 """
 from __future__ import annotations
 
@@ -23,9 +24,8 @@ from .errors import (BudgetExceeded, InternalVerificationError, MatrixClassError
 from .extractor import extract, verify_certificate
 from .formats import FORMAT_VERSION, InputFormatError, dumps_canonical
 from .gen import GenConfig, random_matrix, random_set, random_sumfull_set
-from .oracle import (ENUMERATE_MAX_N, SearchBudget, brute_force_zero_sum, enumerate_class,
-                     row_options)
-from .sumfull import NotSumFull, check_sum_full
+from .oracle import ENUMERATE_MAX_N, brute_force_zero_sum, enumerate_class, row_options
+from .sumfull import check_sum_full
 from .witness import find_witness, verify_witness
 
 EXIT_OK = 0
@@ -33,6 +33,10 @@ EXIT_INPUT = 1
 EXIT_NOT_SUM_FULL = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+
+# fuzz draws --n times count elements; a prune_closure seed costs about count^2
+# group operations, so the worst case at the cap is four seeds of count 5000.
+FUZZ_MAX_DRAWS = 20_000
 
 
 def _read_json(args, stdin: IO[str]):
@@ -56,16 +60,9 @@ def _emit(stdout: IO[str], payload: dict) -> None:
     stdout.write(dumps_canonical(payload) + "\n")
 
 
-def _not_sum_full_payload(verdict: NotSumFull) -> dict:
-    return {"format": FORMAT_VERSION, "sum_full": False, "witness_index": verdict.witness_index}
-
-
 def cmd_check(args, stdin, stdout) -> int:
     a = formats.instance_from_json(_read_json(args, stdin))
     t = check_sum_full(a)
-    if isinstance(t, NotSumFull):
-        _emit(stdout, _not_sum_full_payload(t))
-        return EXIT_NOT_SUM_FULL
     payload = formats.instance_to_json(a)
     payload["sum_full"] = True
     payload["reps"] = [list(pair) for pair in t.reps]
@@ -75,11 +72,7 @@ def cmd_check(args, stdin, stdout) -> int:
 
 def cmd_extract(args, stdin, stdout) -> int:
     a = formats.instance_from_json(_read_json(args, stdin))
-    cert = extract(a)
-    if isinstance(cert, NotSumFull):
-        _emit(stdout, _not_sum_full_payload(cert))
-        return EXIT_NOT_SUM_FULL
-    _emit(stdout, formats.certificate_to_json(a, cert))
+    _emit(stdout, formats.certificate_to_json(a, extract(a)))
     return EXIT_OK
 
 
@@ -101,8 +94,8 @@ def cmd_matrix_witness(args, stdin, stdout) -> int:
 
 def cmd_oracle(args, stdin, stdout) -> int:
     a = formats.instance_from_json(_read_json(args, stdin))
-    budget = SearchBudget() if args.budget is None else SearchBudget(time_cap=args.budget)
-    subset = brute_force_zero_sum(a, budget)
+    subset = (brute_force_zero_sum(a) if args.budget is None
+              else brute_force_zero_sum(a, time_cap=args.budget))
     _emit(stdout, {"format": FORMAT_VERSION,
                    "zero_sum_subset": None if subset is None else list(subset)})
     return EXIT_OK
@@ -227,10 +220,13 @@ def _fuzz_seed(cfg: GenConfig) -> Union[None, str, dict]:
     inst = random_sumfull_set(cfg)
     if inst is None:
         return None
-    cert = extract(inst)
-    if isinstance(cert, NotSumFull) or not verify_certificate(cert, inst):
-        return formats.instance_to_json(inst)
-    return dumps_canonical(formats.certificate_to_json(inst, cert))
+    try:
+        cert = extract(inst)
+        if verify_certificate(cert, inst):
+            return dumps_canonical(formats.certificate_to_json(inst, cert))
+    except NotSumFullError:
+        pass
+    return formats.instance_to_json(inst)
 
 
 def cmd_fuzz(args, stdin, stdout) -> int:
@@ -240,6 +236,8 @@ def cmd_fuzz(args, stdin, stdout) -> int:
     runs = args.n if args.n is not None else 100
     if runs < 1:
         raise InputFormatError(f"fuzz needs --n >= 1, got {runs}")
+    if runs * cfg.count > FUZZ_MAX_DRAWS:
+        raise BudgetExceeded(f"--n {runs} times count {cfg.count} exceeds the cap {FUZZ_MAX_DRAWS}")
     tasks = [replace(cfg, seed=cfg.seed + k) for k in range(runs)]
     results = [r for r in _map(_fuzz_seed, tasks, args.workers) if r is not None]
     certificates = "".join(r for r in results if isinstance(r, str))
@@ -309,7 +307,8 @@ def dispatch(argv: list[str], *, stdin: Optional[IO[str]] = None,
         print(f"error: {exc}", file=stderr)
         return EXIT_INPUT
     except NotSumFullError as exc:
-        print(f"error: {exc}", file=stderr)
+        _emit(stdout, {"format": FORMAT_VERSION, "sum_full": False,
+                       "witness_index": exc.witness_index})
         return EXIT_NOT_SUM_FULL
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=stderr)

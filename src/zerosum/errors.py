@@ -16,7 +16,7 @@ class MatrixClassError(ValueError):
 
 
 class NotSumFullError(ValueError):
-    """Raised where sum-fullness is a hard precondition (not a verdict)."""
+    """Not sum-full: witness_index is the least index whose element has no representation."""
 
     def __init__(self, witness_index: int):
         super().__init__(f"input set is not sum-full: element {witness_index} has no representation")

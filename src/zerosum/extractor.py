@@ -8,11 +8,11 @@ representation table, so the audit trail keeps only the table and the witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from . import groups
 from .errors import InternalVerificationError
-from .sumfull import InputSet, NotSumFull, RepresentationTable, check_sum_full, verify_table
+from .sumfull import InputSet, RepresentationTable, check_sum_full, verify_table
 from .witness import ConstraintMatrix, WitnessSubset, check_order, find_witness, verify_witness
 
 
@@ -39,12 +39,13 @@ def support(vector: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(k for k, vk in enumerate(vector) if vk == 1)
 
 
-def extract(a: InputSet) -> Union[ZeroSumCertificate, NotSumFull]:
+def extract(a: InputSet) -> ZeroSumCertificate:
     """Produce a verified nonempty zero-sum subset of a sum-full input set.
 
     If zero is among the elements, {0} is itself the minimal certificate and
     the pipeline is skipped.  Otherwise the witness vector's support indexes
-    the subset; its sum vanishing is rechecked before returning.
+    the subset; its sum vanishing is rechecked before returning.  An input
+    that is not sum-full raises check_sum_full's NotSumFullError.
     """
     z = groups.zero(a.spec)
     pos = a.positions()
@@ -52,8 +53,6 @@ def extract(a: InputSet) -> Union[ZeroSumCertificate, NotSumFull]:
         return ZeroSumCertificate((pos[z],), None)
     check_order(len(a.elements))
     t = check_sum_full(a)
-    if isinstance(t, NotSumFull):
-        return t
     m = build_matrix(t)
     w = find_witness(m)
     s = support(w.vector)

@@ -102,6 +102,8 @@ def witness_to_json(w: WitnessSubset) -> dict:
 
 def witness_from_json(obj: Any) -> WitnessSubset:
     rows = strict_ints(require_field(obj, "rows", list), "witness 'rows'")
+    if any(r >= s for r, s in zip(rows, rows[1:])):
+        raise InputFormatError("witness rows must be strictly increasing")
     vector = strict_ints(require_field(obj, "vector", list), "witness 'vector'")
     return WitnessSubset(rows, vector)
 
@@ -136,9 +138,12 @@ def certificate_to_json(a: InputSet, c: ZeroSumCertificate) -> dict:
 
 def certificate_from_json(obj: Any) -> tuple[InputSet, Optional[ZeroSumCertificate]]:
     """The instance (malformed: raises) and the certificate (None on a malformed subset
-    or trail, or a format other than 1 or 2 or not matching the trail)."""
+    or trail, a sum_check other than "zero", or a format other than 1 or 2 or not
+    matching the trail)."""
     a = instance_from_json(obj)
     try:
+        if obj.get("sum_check") != "zero":
+            raise InputFormatError("sum_check must be 'zero'")
         subset = strict_ints(require_field(obj, "subset", list), "'subset'")
         if any(k < 0 or k >= len(a.elements) for k in subset):
             raise InputFormatError("certificate subset index out of range")

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import groups
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, NotSumFullError
 from .groups import GroupElement, GroupSpec
-from .sumfull import InputSet, NotSumFull, check_sum_full
+from .sumfull import InputSet, check_sum_full
 from .witness import ConstraintMatrix, check_order
 
 MASK64 = 2**64 - 1
@@ -158,7 +158,11 @@ def random_sumfull_set(cfg: GenConfig) -> Optional[InputSet]:
         if not els:
             return None
         candidate = InputSet(g, els)
-        return None if isinstance(check_sum_full(candidate), NotSumFull) else candidate
+        try:
+            check_sum_full(candidate)
+        except NotSumFullError:
+            return None
+        return candidate
     if cfg.mode == "prune_closure":
         survivors = prune_to_sumfull(cfg.group, random_set(cfg))
         return InputSet(cfg.group, survivors) if survivors else None

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from . import groups
@@ -22,22 +21,16 @@ ENUMERATE_MAX_N = 6
 BRUTE_FORCE_MAX_N = 25
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    time_cap: float = 30.0
-
-    def __post_init__(self):
-        if self.time_cap <= 0:
-            raise ValueError("time_cap must be positive")
-
-
-def brute_force_zero_sum(a: InputSet, budget: SearchBudget = SearchBudget()) -> Optional[tuple[int, ...]]:
+def brute_force_zero_sum(a: InputSet, time_cap: float = 30.0) -> Optional[tuple[int, ...]]:
     """First nonempty zero-sum subset in indicator-bitmask order, or None.
 
     Stepping mask -> mask+1 clears the trailing ones and sets bit k, so the
     running sum changes by the precomputed delta a_k - (a_0 + ... + a_{k-1});
-    one group addition per subset visited.
+    one group addition per subset visited.  BudgetExceeded is raised once the
+    search has run time_cap seconds; a time_cap <= 0 is a ValueError.
     """
+    if time_cap <= 0:
+        raise ValueError("time_cap must be positive")
     n = len(a.elements)
     if n > BRUTE_FORCE_MAX_N:
         raise BudgetExceeded(f"subset search supports n <= {BRUTE_FORCE_MAX_N}, got {n}")
@@ -48,14 +41,14 @@ def brute_force_zero_sum(a: InputSet, budget: SearchBudget = SearchBudget()) -> 
         prefix.append(groups.add(prefix[-1], x, g))
     delta = [groups.sub(a.elements[k], prefix[k], g) for k in range(n)]
     running = z
-    deadline = time.monotonic() + budget.time_cap
+    deadline = time.monotonic() + time_cap
     for mask in range(1, 1 << n):
         k = (mask & -mask).bit_length() - 1
         running = groups.add(running, delta[k], g)
         if running == z:
             return tuple(i for i in range(n) if mask >> i & 1)
         if mask % 4096 == 0 and time.monotonic() > deadline:
-            raise BudgetExceeded(f"subset search exceeded {budget.time_cap}s")
+            raise BudgetExceeded(f"subset search exceeded {time_cap}s")
     return None
 
 

@@ -3,16 +3,17 @@
 A set is sum-full when every element is a sum of two *other* elements of the
 set (the two summands may coincide with each other, never with the element
 they represent).  least_pairs is the one search for least representations:
-check_sum_full either fixes one representation per element from it or reports
-the least element that has none.  Both trust the shapes checked at ingest and
+check_sum_full either fixes one representation per element from it or raises
+NotSumFullError for the least element that has none.  Both trust the shapes checked at ingest and
 use the group's unchecked arithmetic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import groups
+from .errors import NotSumFullError
 from .groups import GroupElement, GroupSpec
 
 
@@ -46,13 +47,6 @@ class RepresentationTable:
     reps: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class NotSumFull:
-    """Verdict: the least index whose element is not a sum of two other elements."""
-
-    witness_index: int
-
-
 def least_pairs(spec: GroupSpec,
                 elements: Sequence[GroupElement]) -> Iterator[Optional[tuple[int, int]]]:
     """For each index k in turn, the least pair (i, j), i <= j, both different
@@ -77,12 +71,15 @@ def least_pairs(spec: GroupSpec,
             yield None
 
 
-def check_sum_full(a: InputSet) -> Union[RepresentationTable, NotSumFull]:
-    """Fix the lexicographically least representation (i, j) per element, or fail."""
+def check_sum_full(a: InputSet) -> RepresentationTable:
+    """Fix the lexicographically least representation (i, j) per element.
+
+    Raises NotSumFullError naming the least index whose element has none.
+    """
     reps = []
     for k, pair in enumerate(least_pairs(a.spec, a.elements)):
         if pair is None:
-            return NotSumFull(k)
+            raise NotSumFullError(k)
         reps.append(pair)
     return RepresentationTable(tuple(reps))
 

@@ -10,6 +10,7 @@ import pytest
 
 from zerosum import cli, extractor, gen, witness
 from zerosum.cli import dispatch
+from zerosum.errors import NotSumFullError
 from zerosum.extractor import build_matrix
 from zerosum.sumfull import RepresentationTable
 
@@ -86,6 +87,10 @@ def _malformed_certificates(cert):
         "format 1 without trail matrix": lambda c: c.update(format=1),
         "format 2 with trail matrix": lambda c: c["trail"].update(
             matrix=build_matrix(RepresentationTable(c["trail"]["reps"])).tolist()),
+        "reversed witness rows": lambda c: c["trail"]["witness"]["rows"].reverse(),
+        "repeated witness row": lambda c: c["trail"]["witness"]["rows"].insert(0, 0),
+        "sum_check not zero": lambda c: c.update(sum_check="banana"),
+        "missing sum_check": lambda c: c.pop("sum_check"),
     }
     for what, edit in edits.items():
         bad = copy.deepcopy(cert)
@@ -304,6 +309,16 @@ def test_audit3_command():
     assert out["zero_sum_indices"]
 
 
+@pytest.mark.parametrize("command", ["check", "extract", "quadruple", "audit3"])
+def test_not_sum_full_is_one_answer(command):
+    # (0, 1) is not (1, 0) + (1, 0); dispatch answers for every command alike
+    instance = {"group": {"free_rank": 0, "torsion": [3, 3]}, "elements": [[1, 0], [0, 1]]}
+    code, out, err = run_cli([command, "--input", "-"], json.dumps(instance))
+    assert code == 2
+    assert out == '{"format":1,"sum_full":false,"witness_index":0}\n'
+    assert err == ""
+
+
 def test_audit3_not_sum_full_exits_2():
     instance = {"group": {"free_rank": 0, "torsion": [3, 3]},
                 "elements": [[1, 0], [0, 1]]}
@@ -453,6 +468,34 @@ def test_fuzz_summary():
     assert summary["runs"] == 40
     assert summary["failures"] == 0
     assert summary["instances"] > 0
+
+
+def test_fuzz_embeds_a_reproducer_when_extract_refuses(monkeypatch):
+    def refuse(a):
+        raise NotSumFullError(0)
+
+    monkeypatch.setattr(cli, "extract", refuse)
+    code, out, err = run_cli(["fuzz", "--n", "40", "--seed", "0"])
+    summary = json.loads(out)
+    assert (code, err) == (4, "")
+    assert summary["failures"] == summary["instances"] > 0
+    assert all(set(r) == {"format", "group", "elements"} for r in summary["reproducers"])
+
+
+def test_fuzz_work_is_capped(monkeypatch):
+    def refuse(cfg):
+        raise AssertionError("a fuzz task ran past the cap")
+
+    # the default 100 seeds and the README's --n 500, both at count 20, fit the real cap
+    assert 500 * 20 <= cli.FUZZ_MAX_DRAWS
+    assert run_cli(["fuzz"])[0] == 0
+    monkeypatch.setattr(cli, "FUZZ_MAX_DRAWS", 60)
+    assert run_cli(["fuzz", "--n", "3"])[0] == 0  # 3 seeds x count 20 is at the cap
+    monkeypatch.setattr(cli, "random_sumfull_set", refuse)
+    for argv in (["fuzz", "--n", "4"], ["fuzz", "--n", "1", "--input", "-"]):
+        code, out, err = run_cli(argv, json.dumps({"count": 61}))
+        assert (code, out) == (3, ""), argv
+        assert "cap 60" in err
 
 
 def test_fuzz_workers_deterministic():

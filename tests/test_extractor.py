@@ -2,12 +2,15 @@ import dataclasses
 import io
 import json
 
+import pytest
+
 from conftest import el, full_nonzero, zmod, zset
 from zerosum import cli, formats, groups
+from zerosum.errors import NotSumFullError
 from zerosum.extractor import build_matrix, extract, support, verify_certificate
 from zerosum.gen import GenConfig, SplitMix64, random_sumfull_set
 from zerosum.oracle import brute_force_zero_sum
-from zerosum.sumfull import InputSet, NotSumFull, RepresentationTable, check_sum_full
+from zerosum.sumfull import InputSet, RepresentationTable, check_sum_full
 
 
 def test_build_matrix_distinct_indices():
@@ -30,7 +33,6 @@ def test_rows_orthogonal_to_element_vector():
         if inst is None:
             continue
         t = check_sum_full(inst)
-        assert not isinstance(t, NotSumFull)
         for k, (i, j) in enumerate(t.reps):
             lhs = groups.add(inst.elements[i], inst.elements[j], inst.spec)
             assert groups.sub(lhs, inst.elements[k], inst.spec) == groups.zero(inst.spec)
@@ -41,7 +43,6 @@ def test_rows_orthogonal_to_element_vector():
 def test_extract_symmetric_integers():
     a = zset(-3, -2, -1, 1, 2, 3)
     cert = extract(a)
-    assert not isinstance(cert, NotSumFull)
     assert cert.subset
     assert verify_certificate(cert, a)
     # existence is independently confirmed by the oracle
@@ -69,7 +70,9 @@ def test_extract_zero_short_circuit():
 
 
 def test_extract_not_sum_full_passthrough():
-    assert extract(zset(1, 2, 3)) == NotSumFull(0)
+    with pytest.raises(NotSumFullError) as exc:
+        extract(zset(1, 2, 3))
+    assert exc.value.witness_index == 0
 
 
 def test_extract_deterministic():
@@ -131,7 +134,6 @@ def test_extract_self_consistency_bulk():
         if inst is None:
             continue
         cert = extract(inst)
-        assert not isinstance(cert, NotSumFull)
         assert verify_certificate(cert, inst)
         assert cert.subset == support(cert.trail.witness.vector)
         done += 1

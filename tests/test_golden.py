@@ -22,7 +22,6 @@ from zerosum.extractor import extract
 from zerosum.gen import GenConfig, random_matrix, random_sumfull_set
 from zerosum.groups import GroupSpec
 from zerosum.oracle import enumerate_class
-from zerosum.sumfull import NotSumFull
 from zerosum.witness import find_witness
 from test_acceptance import _criterion_2_specs
 
@@ -54,7 +53,6 @@ def golden_digest() -> tuple[int, str]:
     count = 0
     for inst in _instances():
         cert = extract(inst)
-        assert not isinstance(cert, NotSumFull)
         hasher.update(json.dumps(_record(cert), separators=(",", ":")).encode() + b"\n")
         count += 1
     return count, hasher.hexdigest()

@@ -3,7 +3,7 @@ import pytest
 from conftest import NoPower, Z, zset
 from zerosum.errors import BudgetExceeded
 from zerosum.gen import GenConfig, SplitMix64, random_sumfull_set
-from zerosum.oracle import (SearchBudget, brute_force_zero_sum, count_class, enumerate_class,
+from zerosum.oracle import (brute_force_zero_sum, count_class, enumerate_class,
                             max_zero_sum_free_length, row_options)
 from zerosum.witness import validate_membership
 
@@ -29,11 +29,13 @@ class TestBruteForce:
         # no zero-sum subset exists, so the full 2^24 walk trips the cap
         a = zset(*[2**k for k in range(24)])
         with pytest.raises(BudgetExceeded):
-            brute_force_zero_sum(a, SearchBudget(time_cap=0.05))
+            brute_force_zero_sum(a, time_cap=0.05)
 
     def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            SearchBudget(time_cap=0)
+        # refused before the search, which would find {-1, 1} at once
+        for cap in (0, -1.0):
+            with pytest.raises(ValueError):
+                brute_force_zero_sum(zset(-1, 1, 5), time_cap=cap)
 
     def test_sum_full_inputs_always_have_zero_sums(self):
         rng = SplitMix64(3)

@@ -3,26 +3,28 @@ from hypothesis import given
 
 from conftest import Z, el, spec_with_elements, zmod, zset
 from zerosum import groups
-from zerosum.sumfull import InputSet, NotSumFull, check_sum_full, verify_table
+from zerosum.errors import NotSumFullError
+from zerosum.sumfull import InputSet, check_sum_full, verify_table
 
 
 def test_symmetric_set_has_table():
     a = zset(-3, -2, -1, 1, 2, 3)
     t = check_sum_full(a)
-    assert not isinstance(t, NotSumFull)
     assert verify_table(a, t)
     # canonical order is (-3,-2,-1,1,2,3); -3 = -2 + -1 is the least pair
     assert t.reps[0] == (1, 2)
 
 
 def test_positive_triple_not_sum_full():
-    verdict = check_sum_full(zset(1, 2, 3))
-    assert verdict == NotSumFull(0)  # element 1 has no representation from {2, 3}
+    with pytest.raises(NotSumFullError) as exc:
+        check_sum_full(zset(1, 2, 3))
+    assert exc.value.witness_index == 0  # element 1 has no representation from {2, 3}
 
 
 def test_singleton_zero_not_sum_full():
-    verdict = check_sum_full(zset(0))
-    assert verdict == NotSumFull(0)  # 0 = 0 + 0 would use the element itself
+    with pytest.raises(NotSumFullError) as exc:
+        check_sum_full(zset(0))
+    assert exc.value.witness_index == 0  # 0 = 0 + 0 would use the element itself
 
 
 def test_empty_input_rejected():
@@ -63,11 +65,12 @@ def test_check_sum_full_verdicts_verify(case):
                 if i != k and j != k
                 and groups.add(a.elements[i], a.elements[j], spec) == a.elements[k]]
 
-    verdict = check_sum_full(a)
-    if isinstance(verdict, NotSumFull):
-        k = verdict.witness_index
+    try:
+        table = check_sum_full(a)
+    except NotSumFullError as exc:
+        k = exc.witness_index
         assert pairs(k) == []
         assert all(pairs(e) for e in range(k))  # k is the least unrepresentable index
     else:
-        assert verify_table(a, verdict)
-        assert list(verdict.reps) == [min(pairs(k)) for k in range(n)]
+        assert verify_table(a, table)
+        assert list(table.reps) == [min(pairs(k)) for k in range(n)]
