@@ -13,13 +13,13 @@ from typing import Any, Optional
 
 from . import groups
 from .char3 import AdditiveQuadruple, AuditReport, ZeroSumList
-from .extractor import Trail, ZeroSumCertificate, build_matrix
+from .extractor import Trail, ZeroSumCertificate
 from .groups import GroupElement, GroupSpec
 from .sumfull import InputSet, RepresentationTable
 from .witness import ConstraintMatrix, WitnessSubset, validate_membership
 
 FORMAT_VERSION = 1
-CERTIFICATE_FORMAT = 2  # reps + witness; format 1 also embedded the class matrix of the reps
+CERTIFICATE_FORMAT = 2  # reps + witness; the retired format 1 also embedded the class matrix
 
 
 class InputFormatError(ValueError):
@@ -100,7 +100,15 @@ def witness_to_json(w: WitnessSubset) -> dict:
     return {"rows": list(w.rows), "vector": list(w.vector)}
 
 
+def exact_fields(obj: Any, keys: set[str], what: str) -> dict:
+    """obj as a JSON object with exactly the given fields."""
+    if not isinstance(obj, dict) or set(obj) != keys:
+        raise InputFormatError(f"{what} must have exactly the fields {sorted(keys)}")
+    return obj
+
+
 def witness_from_json(obj: Any) -> WitnessSubset:
+    obj = exact_fields(obj, {"rows", "vector"}, "the witness")
     rows = strict_ints(require_field(obj, "rows", list), "witness 'rows'")
     if any(r >= s for r, s in zip(rows, rows[1:])):
         raise InputFormatError("witness rows must be strictly increasing")
@@ -113,18 +121,13 @@ def trail_to_json(t: Trail) -> dict:
 
 
 def trail_from_json(obj: Any) -> Trail:
-    """Decode reps + witness; a legacy format-1 "matrix" must equal the matrix of the reps."""
+    obj = exact_fields(obj, {"reps", "witness"}, "the trail")
     reps = tuple(strict_ints(pair, "each rep") for pair in require_field(obj, "reps", list))
     n = len(reps)
     if not reps or any(len(pair) != 2 or not (0 <= pair[0] < n and 0 <= pair[1] < n)
                        for pair in reps):
         raise InputFormatError("reps must be a nonempty list of element index pairs")
-    table = RepresentationTable(reps)
-    if "matrix" in obj:
-        rows = [list(strict_ints(r, "each matrix row")) for r in require_field(obj, "matrix", list)]
-        if rows != build_matrix(table).tolist():
-            raise InputFormatError("trail matrix differs from the matrix of the reps")
-    return Trail(table, witness_from_json(require_field(obj, "witness", dict)))
+    return Trail(RepresentationTable(reps), witness_from_json(obj["witness"]))
 
 
 def certificate_to_json(a: InputSet, c: ZeroSumCertificate) -> dict:
@@ -138,21 +141,18 @@ def certificate_to_json(a: InputSet, c: ZeroSumCertificate) -> dict:
 
 def certificate_from_json(obj: Any) -> tuple[InputSet, Optional[ZeroSumCertificate]]:
     """The instance (malformed: raises) and the certificate (None on a malformed subset
-    or trail, a sum_check other than "zero", or a format other than 1 or 2 or not
-    matching the trail)."""
+    or trail, a sum_check other than "zero", or a format other than the integer 2)."""
     a = instance_from_json(obj)
     try:
+        fmt = obj.get("format")
+        if type(fmt) is not int or fmt != CERTIFICATE_FORMAT:
+            raise InputFormatError(f"certificate format must be {CERTIFICATE_FORMAT}")
         if obj.get("sum_check") != "zero":
             raise InputFormatError("sum_check must be 'zero'")
         subset = strict_ints(require_field(obj, "subset", list), "'subset'")
         if any(k < 0 or k >= len(a.elements) for k in subset):
             raise InputFormatError("certificate subset index out of range")
         raw_trail = obj.get("trail")
-        fmt = obj.get("format")
-        has_matrix = isinstance(raw_trail, dict) and "matrix" in raw_trail
-        if (type(fmt) is not int or fmt not in (1, CERTIFICATE_FORMAT)
-                or raw_trail is not None and (fmt == 1) != has_matrix):
-            raise InputFormatError("format 1 trails embed the matrix, format 2 trails do not")
         trail = None if raw_trail is None else trail_from_json(raw_trail)
     except InputFormatError:
         return a, None

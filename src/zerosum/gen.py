@@ -18,6 +18,7 @@ from .witness import ConstraintMatrix, check_order
 MASK64 = 2**64 - 1
 FULL_NONZERO_MAX_ORDER = 10**6
 GEN_MAX_COUNT = 5000
+GEN_MAX_COORDS = 10**6  # count times coordinates per element, drawn and printed one by one
 
 MODES = ("random_matrix", "random_set", "prune_closure", "full_nonzero")
 
@@ -59,6 +60,9 @@ class GenConfig:
             raise ValueError(f"bound {self.bound} leaves the checked 64-bit range")
         if self.count > GEN_MAX_COUNT:
             raise BudgetExceeded(f"count {self.count} exceeds the cap {GEN_MAX_COUNT}")
+        coords = self.count * (self.group.free_rank + len(self.group.torsion))
+        if coords > GEN_MAX_COORDS:
+            raise BudgetExceeded(f"count times coordinates {coords} exceeds the cap {GEN_MAX_COORDS}")
 
 
 def _unrank_sorted_pair(t: int, slots: int) -> tuple[int, int]:

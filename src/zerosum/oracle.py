@@ -7,6 +7,7 @@ per-row weak compositions, and the Sidon check rescans a full pair-sum table.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from typing import Iterator, Optional, Sequence, Union
 
@@ -27,10 +28,12 @@ def brute_force_zero_sum(a: InputSet, time_cap: float = 30.0) -> Optional[tuple[
     Stepping mask -> mask+1 clears the trailing ones and sets bit k, so the
     running sum changes by the precomputed delta a_k - (a_0 + ... + a_{k-1});
     one group addition per subset visited.  BudgetExceeded is raised once the
-    search has run time_cap seconds; a time_cap <= 0 is a ValueError.
+    search has run time_cap seconds.  A time_cap that is not a finite positive
+    number (0, -1, inf, nan) is a ValueError: a nan cap never compares greater
+    than the clock, so it would never stop the search.
     """
-    if time_cap <= 0:
-        raise ValueError("time_cap must be positive")
+    if not 0 < time_cap < math.inf:
+        raise ValueError(f"time_cap must be a finite positive number, got {time_cap}")
     n = len(a.elements)
     if n > BRUTE_FORCE_MAX_N:
         raise BudgetExceeded(f"subset search supports n <= {BRUTE_FORCE_MAX_N}, got {n}")

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from zerosum import cli, extractor, gen, witness
+from zerosum import cli, extractor, formats, gen, witness
 from zerosum.cli import dispatch
 from zerosum.errors import NotSumFullError
 from zerosum.extractor import build_matrix
@@ -87,6 +89,8 @@ def _malformed_certificates(cert):
         "format 1 without trail matrix": lambda c: c.update(format=1),
         "format 2 with trail matrix": lambda c: c["trail"].update(
             matrix=build_matrix(RepresentationTable(c["trail"]["reps"])).tolist()),
+        "extra trail field": lambda c: c["trail"].update(note="x"),
+        "extra witness field": lambda c: c["trail"]["witness"].update(note="x"),
         "reversed witness rows": lambda c: c["trail"]["witness"]["rows"].reverse(),
         "repeated witness row": lambda c: c["trail"]["witness"]["rows"].insert(0, 0),
         "sum_check not zero": lambda c: c.update(sum_check="banana"),
@@ -109,7 +113,7 @@ def test_verify_null_trail_formats():
     _, cert, _ = run_json(["extract"], {"group": {"free_rank": 1, "torsion": []},
                                         "elements": [[-1], [0], [1]]})
     assert cert["trail"] is None
-    for fmt, reply in ((2, (0, VALID)), (1, (0, VALID)), (7, (1, INVALID)), (True, (1, INVALID))):
+    for fmt, reply in ((2, (0, VALID)), (1, (1, INVALID)), (7, (1, INVALID)), (True, (1, INVALID))):
         assert run_json(["verify"], dict(cert, format=fmt))[:2] == reply, fmt
 
 
@@ -134,6 +138,26 @@ def test_extract_certifies_64_bit_edge_sets(free_rank):
     code, cert, _ = run_json(["extract"], instance)
     assert code == 0
     assert run_json(["verify"], cert)[:2] == (0, {"format": 1, "valid": True})
+
+
+def _no_matrix(*args):
+    raise AssertionError("verify built a class matrix")
+
+
+def test_verify_builds_no_matrix(monkeypatch):
+    c = 3 * 2**60
+    edge = {"group": {"free_rank": 1, "torsion": []},
+            "elements": [[k * c] for k in (-2, -1, 1, 2)]}
+    z7 = {"group": {"free_rank": 0, "torsion": [7]}, "elements": [[k] for k in range(1, 7)]}
+    certs = [run_json(["extract"], instance)[1] for instance in (z7, edge)]
+    for owner, attr in ((witness.ConstraintMatrix, "from_pairs"),
+                        (witness.ConstraintMatrix, "from_rows"), (witness, "check_order"),
+                        (extractor, "check_order"), (extractor, "build_matrix"),
+                        (extractor, "verify_witness")):
+        monkeypatch.setattr(owner, attr, _no_matrix)
+    for cert in certs:
+        assert cert["trail"] is not None
+        assert run_json(["verify"], cert)[:2] == (0, VALID)
 
 
 def test_check_at_64_bit_edge_is_not_sum_full():
@@ -186,9 +210,12 @@ def test_oracle_budget_exit_3():
 
 
 def test_oracle_budget_zero_rejected():
-    code, out, _ = run_cli(["oracle", "--input", "-", "--budget", "0"], json.dumps(INSTANCE))
-    assert code == 1
-    assert out == ""
+    # nan too: nan <= 0 and monotonic() > nan are both False, so it would disable the cap
+    for budget in ("0", "nan", "inf"):
+        code, out, err = run_cli(["oracle", "--input", "-", "--budget", budget],
+                                 json.dumps(INSTANCE))
+        assert (code, out) == (1, ""), budget
+        assert "finite positive" in err
 
 
 def test_flags_are_per_command():
@@ -363,14 +390,11 @@ def _refuse_representation_search(a):
 
 
 def test_matrix_order_cap_is_shared(monkeypatch):
-    # every command that builds a class matrix is refused past witness.MATRIX_MAX_N
+    # every command that builds a class matrix is refused past witness.MATRIX_MAX_N;
+    # verify builds none, so it answers past the cap
     _, cert, _ = run_json(["extract"], INSTANCE)
-    legacy = copy.deepcopy(cert)
-    legacy["format"] = 1
-    legacy["trail"]["matrix"] = build_matrix(RepresentationTable(cert["trail"]["reps"])).tolist()
     identity = {"matrix": [[int(i == j) for j in range(6)] for i in range(6)]}
-    cases = [(["extract"], INSTANCE), (["verify"], cert), (["verify"], legacy),
-             (["matrix-witness"], identity)]
+    cases = [(["extract"], INSTANCE), (["matrix-witness"], identity)]
     monkeypatch.setattr(extractor, "check_sum_full", _refuse_representation_search)
     monkeypatch.setattr(witness, "MATRIX_MAX_N", 5)
     for argv, payload in cases:
@@ -380,6 +404,7 @@ def test_matrix_order_cap_is_shared(monkeypatch):
     code, out, err = run_cli(["gen", "--mode", "random_matrix", "--n", "6"])
     assert (code, out) == (3, "")
     assert "cap 5" in err
+    assert run_json(["verify"], cert)[:2] == (0, VALID)
     # at the cap every command answers
     monkeypatch.undo()
     monkeypatch.setattr(witness, "MATRIX_MAX_N", 6)
@@ -388,9 +413,9 @@ def test_matrix_order_cap_is_shared(monkeypatch):
     assert run_cli(["gen", "--mode", "random_matrix", "--n", "6"])[0] == 0
 
 
-def test_verify_past_the_matrix_cap_exits_3():
+def test_verify_answers_past_the_matrix_cap():
     # [-20000, 20000] \ {0} with well-formed reps: a dense class matrix of order
-    # 40,000 would need 12.8 GB, so the order cap refuses it before allocating
+    # 40,000 would need 12.8 GB, but verify sums the witness rows from the reps
     big = 20_000
     values = list(range(-big, 0)) + list(range(1, big + 1))
     pos = {v: k for k, v in enumerate(values)}
@@ -399,12 +424,30 @@ def test_verify_past_the_matrix_cap_exits_3():
         i, j = {1: (2, -1), -1: (-2, 1)}.get(v, (v - 1, 1) if v > 0 else (v + 1, -1))
         return sorted((pos[i], pos[j]))
 
+    # rows -1 = -2 + 1 and 1 = 2 + (-1) sum to e_{-2} + e_2, and -2 + 2 = 0
+    vector = [0] * len(values)
+    vector[pos[-2]] = vector[pos[2]] = 1
     cert = {"format": 2, "group": {"free_rank": 1, "torsion": []},
-            "elements": [[v] for v in values], "subset": [pos[-1], pos[1]], "sum_check": "zero",
-            "trail": {"reps": [rep(v) for v in values], "witness": {"rows": [0], "vector": [1]}}}
-    code, out, err = run_json(["verify"], cert)
-    assert (code, out) == (3, None)
-    assert f"cap {witness.MATRIX_MAX_N}" in err
+            "elements": [[v] for v in values], "subset": [pos[-2], pos[2]], "sum_check": "zero",
+            "trail": {"reps": [rep(v) for v in values],
+                      "witness": {"rows": [pos[-1], pos[1]], "vector": vector}}}
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        a, decoded = formats.certificate_from_json(cert)
+        ok = extractor.verify_certificate(decoded, a)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    # measured 1.0 s and 8 MB under tracemalloc on a 2-core box; the dense matrix
+    # alone would be 12.8 GB
+    assert elapsed < 10.0
+    assert peak < 64 * 2**20
+    assert run_json(["verify"], cert)[:2] == (0, VALID)
+    cert["trail"]["witness"] = {"rows": [0], "vector": [1]}
+    assert run_json(["verify"], cert)[:2] == (1, INVALID)
 
 
 @pytest.mark.parametrize("command", ["gen", "fuzz"])
@@ -414,6 +457,16 @@ def test_gen_count_is_capped(command):
     code, out, err = run_json([command, "--n", "1"], cfg)
     assert (code, out) == (3, None)
     assert f"cap {gen.GEN_MAX_COUNT}" in err
+
+
+@pytest.mark.parametrize("command", ["gen", "fuzz"])
+def test_gen_coordinates_are_capped(command):
+    # count times coordinates per element is refused when the config is built
+    cfg = {"seed": 0, "count": 1, "mode": "prune_closure",
+           "group": {"free_rank": gen.GEN_MAX_COORDS + 1, "torsion": []}}
+    code, out, err = run_json([command, "--n", "1"], cfg)
+    assert (code, out) == (3, None)
+    assert f"cap {gen.GEN_MAX_COORDS}" in err
 
 
 def test_gen_full_nonzero_pipes_into_extract():

@@ -7,10 +7,12 @@ import pytest
 from conftest import el, full_nonzero, zmod, zset
 from zerosum import cli, formats, groups
 from zerosum.errors import NotSumFullError
-from zerosum.extractor import build_matrix, extract, support, verify_certificate
+from zerosum.extractor import build_matrix, extract, support, verify_certificate, witness_holds
 from zerosum.gen import GenConfig, SplitMix64, random_sumfull_set
 from zerosum.oracle import brute_force_zero_sum
 from zerosum.sumfull import InputSet, RepresentationTable, check_sum_full
+from zerosum.witness import WitnessSubset, verify_witness
+from test_golden import _instances as golden_instances
 
 
 def test_build_matrix_distinct_indices():
@@ -99,7 +101,7 @@ def _verify_reply(payload: dict) -> tuple[int, dict]:
 
 
 def _legacy_certificate(a: InputSet) -> dict:
-    """A certificate as format 1 wrote it, with the class matrix embedded."""
+    """A certificate as the retired format 1 wrote it, with the class matrix embedded."""
     cert = extract(a)
     payload = formats.certificate_to_json(a, cert)
     payload["format"] = 1
@@ -107,13 +109,10 @@ def _legacy_certificate(a: InputSet) -> dict:
     return payload
 
 
-def test_verify_accepts_legacy_matrix():
-    assert _verify_reply(_legacy_certificate(full_nonzero(zmod(7)))) == (
-        0, {"format": 1, "valid": True})
-
-
-def test_verify_rejects_flipped_matrix_sign():
+def test_verify_refuses_format_1():
+    # refused whether its embedded matrix matches the reps or has a flipped sign
     payload = _legacy_certificate(full_nonzero(zmod(7)))
+    assert _verify_reply(payload) == (1, {"format": 1, "valid": False})
     payload["trail"]["matrix"][0][0] = -payload["trail"]["matrix"][0][0]
     assert _verify_reply(payload) == (1, {"format": 1, "valid": False})
 
@@ -137,3 +136,41 @@ def test_extract_self_consistency_bulk():
         assert verify_certificate(cert, inst)
         assert cert.subset == support(cert.trail.witness.vector)
         done += 1
+
+
+def _tampered(w: WitnessSubset, n: int, other_rows: tuple[int, ...]):
+    rows, vector = w.rows, w.vector
+    added = min(set(range(n)) - set(rows), default=None)
+    flipped = (1 - vector[0],) + vector[1:]
+    yield w
+    yield WitnessSubset(rows[1:], vector)
+    if added is not None:
+        yield WitnessSubset(tuple(sorted(rows + (added,))), vector)
+    yield WitnessSubset(rows, flipped)
+    yield WitnessSubset(other_rows, vector)
+
+
+def test_witness_holds_agrees_with_the_dense_check():
+    # on every golden certificate and on tampered witnesses; each row set is
+    # also tried with the vector the dense matrix gives it, so both verdicts occur
+    verdicts = set()
+    other_rows = (0,)
+    for inst in golden_instances():
+        trail = extract(inst).trail
+        if trail is None:
+            continue
+        t, w = trail.table, trail.witness
+        m = build_matrix(t)
+        dense_rows = m.tolist()
+        for bad in _tampered(w, len(t.reps), other_rows):
+            candidates = [bad]
+            if bad.rows and all(0 <= r < len(t.reps) for r in bad.rows):
+                row_sum = tuple(map(sum, zip(*(dense_rows[r] for r in bad.rows))))
+                candidates.append(WitnessSubset(bad.rows, row_sum))
+            for cand in candidates:
+                verdict = witness_holds(t, cand)
+                assert verdict == verify_witness(m, cand), (t, cand)
+                verdicts.add(verdict)
+        assert witness_holds(t, w)
+        other_rows = w.rows
+    assert verdicts == {True, False}

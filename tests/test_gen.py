@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import Z, el, f3, zmod
-from zerosum import groups
+from zerosum import gen, groups
 from zerosum.errors import BudgetExceeded
 from zerosum.gen import (GEN_MAX_COUNT, GenConfig, SplitMix64, prune_to_sumfull, random_matrix,
                          random_set, random_sumfull_set)
@@ -39,6 +39,16 @@ def test_count_cap_is_checked_before_drawing():
     assert GenConfig(seed=0, group=Z, mode="random_set", count=GEN_MAX_COUNT).count == GEN_MAX_COUNT
     with pytest.raises(BudgetExceeded):
         GenConfig(seed=0, group=Z, mode="random_set", count=GEN_MAX_COUNT + 1)
+
+
+def test_coordinate_cap_is_checked_before_drawing(monkeypatch):
+    # count * (free_rank + len(torsion)) coordinates; the cap is patched down to 60
+    monkeypatch.setattr(gen, "GEN_MAX_COORDS", 60)
+    assert GenConfig(seed=0, group=GroupSpec(3, ()), mode="random_set", count=20).count == 20
+    assert GenConfig(seed=0, group=GroupSpec(1, (3, 3)), mode="random_set", count=20).count == 20
+    for group, count in ((GroupSpec(3, ()), 21), (GroupSpec(2, (5, 5)), 16), (GroupSpec(61, ()), 1)):
+        with pytest.raises(BudgetExceeded):
+            GenConfig(seed=0, group=group, mode="random_set", count=count)
 
 
 def test_random_set_deterministic_and_canonical():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import NoPower, Z, zset
@@ -33,7 +35,7 @@ class TestBruteForce:
 
     def test_budget_validation(self):
         # refused before the search, which would find {-1, 1} at once
-        for cap in (0, -1.0):
+        for cap in (0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 brute_force_zero_sum(zset(-1, 1, 5), time_cap=cap)
 
