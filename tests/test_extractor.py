@@ -110,9 +110,21 @@ def _legacy_certificate(a: InputSet) -> dict:
 
 
 def test_verify_refuses_format_1():
-    # refused whether its embedded matrix matches the reps or has a flipped sign
     payload = _legacy_certificate(full_nonzero(zmod(7)))
     assert _verify_reply(payload) == (1, {"format": 1, "valid": False})
+
+
+def test_verify_accepts_legacy_matrix():
+    # a format-1 certificate upgrades by dropping its matrix: its reps and
+    # witness are accepted as format 2 (the reply's own "format" stays 1)
+    payload = _legacy_certificate(full_nonzero(zmod(7)))
+    del payload["trail"]["matrix"]
+    payload["format"] = 2
+    assert _verify_reply(payload) == (0, {"format": 1, "valid": True})
+
+
+def test_verify_rejects_flipped_matrix_sign():
+    payload = _legacy_certificate(full_nonzero(zmod(7)))
     payload["trail"]["matrix"][0][0] = -payload["trail"]["matrix"][0][0]
     assert _verify_reply(payload) == (1, {"format": 1, "valid": False})
 
