@@ -21,6 +21,14 @@ from zerosum.witness import find_witness, verify_witness
 
 _DIGESTS: dict[str, str] = {}
 
+# The canonical digest of each criterion, pinned so that a change to the
+# reduction, the extractor or the generators that alters any output fails here.
+C1_WITNESSES_SHA256 = "844b679f80511cb8d1eacfc443a372d47fa668d4460667665831f1c53642daa8"
+C2_CERTIFICATES_SHA256 = "9af23a448791ebfe72d4698619422c0feedc3f266163132dbe382f676b9f8ef9"
+C4_OUTCOMES_SHA256 = "866dc36b1f4391dffec1c62e0d46310412cf8dfbafaae1eaaceeb18238a6cbbb"
+C5_VERDICTS_SHA256 = "3f93cc66b42a6e4ef461120839d26bbdd83e403baf2cf4cea483b4fdf7594716"
+C6_WITNESSES_SHA256 = "acc1a4b4a0362eac8e327ae965b932d83195a67a7262356a5aed0aaf6cf48189"
+
 
 def _sha(lines_hasher: "hashlib._Hash") -> str:
     return lines_hasher.hexdigest()
@@ -74,6 +82,7 @@ def test_criterion_1_exhaustive_small_orders():
             elapsed, f"{sum(digest['counts'].values())} matrices, {digest['failures']} failures")
     assert digest["counts"] == EXPECTED_COUNTS
     assert digest["failures"] == 0
+    assert digest["witnesses_sha256"] == C1_WITNESSES_SHA256
     assert elapsed < 120
 
 
@@ -139,6 +148,7 @@ def test_criterion_2_end_to_end():
             f"{digest['failures']} failures")
     assert digest["instances"] == 1000
     assert digest["failures"] == 0
+    assert digest["certificates_sha256"] == C2_CERTIFICATES_SHA256
     assert elapsed < 60
 
 
@@ -224,6 +234,7 @@ def test_criterion_4_chain_outcomes():
             f"{digest['outcomes']}, {digest['failures']} failures")
     assert total == 500
     assert digest["failures"] == 0
+    assert digest["outcomes_sha256"] == C4_OUTCOMES_SHA256
     assert elapsed < 30
 
 
@@ -267,6 +278,7 @@ def test_criterion_5_sidon_agreement():
     _report("criterion 5 (Sidon agreement)", ok, elapsed,
             f"1000 sets, verdicts {digest['verdicts']}, {digest['disagreements']} disagreements")
     assert digest["disagreements"] == 0
+    assert digest["verdicts_sha256"] == C5_VERDICTS_SHA256
 
 
 # --- criterion 6: witness construction at scale
@@ -298,6 +310,7 @@ def test_criterion_6_scale_fuzz():
     _report("criterion 6 (scale fuzz)", ok, elapsed,
             f"10000 x n=200 + 10 x n=1000, {digest['failures']} failures")
     assert digest["failures"] == 0
+    assert digest["witnesses_sha256"] == C6_WITNESSES_SHA256
     assert elapsed < 60
 
 
