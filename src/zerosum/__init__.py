@@ -11,7 +11,7 @@ from .oracle import (brute_force_zero_sum, enumerate_class, max_zero_sum_free_le
                      quadruple_oracle)
 from .sumfull import InputSet, RepresentationTable, check_sum_full
 from .witness import (ConstraintMatrix, WitnessSubset, all_witnesses, find_witness,
-                      validate_membership, verify_witness)
+                      find_witness_pairs, validate_membership, verify_witness)
 
 __version__ = "0.1.0"
 
@@ -21,7 +21,7 @@ __all__ = [
     "NotSumFullError", "RepresentationTable", "ShapeMismatch",
     "SplitMix64", "SubgroupHandle", "Trail", "WitnessSubset", "ZeroSumCertificate", "ZeroSumList",
     "add", "all_witnesses", "audit_char3", "brute_force_zero_sum", "build_matrix", "chain_extract",
-    "check_sum_full", "enumerate_class", "extract", "find_witness",
+    "check_sum_full", "enumerate_class", "extract", "find_witness", "find_witness_pairs",
     "fp_basis", "is_sidon", "max_zero_sum_free_length", "negate", "olson_bound", "quadruple_oracle",
     "random_matrix", "random_set", "random_sumfull_set", "scalar_sum",
     "subgroup_closure", "validate_membership", "verify_certificate", "verify_witness", "zero",

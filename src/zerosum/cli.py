@@ -26,7 +26,7 @@ from .formats import FORMAT_VERSION, InputFormatError, dumps_canonical
 from .gen import GenConfig, random_matrix, random_set, random_sumfull_set
 from .oracle import ENUMERATE_MAX_N, brute_force_zero_sum, enumerate_class, row_options
 from .sumfull import check_sum_full
-from .witness import find_witness, verify_witness
+from .witness import find_witness_pairs, verify_witness
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -54,6 +54,8 @@ def _read_json(args, stdin: IO[str]):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputFormatError("JSON nested too deeply") from exc
 
 
 def _emit(stdout: IO[str], payload: dict) -> None:
@@ -85,7 +87,7 @@ def cmd_verify(args, stdin, stdout) -> int:
 
 def cmd_matrix_witness(args, stdin, stdout) -> int:
     m = formats.matrix_from_json(_read_json(args, stdin))
-    w = find_witness(m)
+    w = find_witness_pairs(m.pairs())
     payload = {"format": FORMAT_VERSION}
     payload.update(formats.witness_to_json(w))
     _emit(stdout, payload)
@@ -117,7 +119,7 @@ def _enumerate_first_row(task: tuple[int, int, bool]) -> tuple[int, int]:
     for m in enumerate_class(n, first_rows=(option,)):
         total += 1
         if verify:
-            if not verify_witness(m, find_witness(m)):
+            if not verify_witness(m, find_witness_pairs(m.pairs())):
                 failures += 1
     return total, failures
 
@@ -178,9 +180,16 @@ def cmd_audit3(args, stdin, stdout) -> int:
     return EXIT_OK
 
 
+GEN_CONFIG_FIELDS = ("seed", "mode", "group", "count", "bound")
+
+
 def _gen_config(args, obj) -> GenConfig:
     if not isinstance(obj, dict):
         raise InputFormatError("the config must be a JSON object")
+    unknown = sorted(set(obj) - set(GEN_CONFIG_FIELDS))
+    if unknown:
+        raise InputFormatError(f"unknown config field {unknown[0]!r}; the fields are "
+                               + ", ".join(GEN_CONFIG_FIELDS))
 
     def field(key, kind, default):
         return formats.require_field(obj, key, kind) if key in obj else default

@@ -1,10 +1,11 @@
-"""End-to-end pipeline: representations -> constraint matrix -> witness -> zero-sum certificate.
+"""End-to-end pipeline: representations -> witness -> zero-sum certificate.
 
-Each row of the built matrix encodes a_i + a_j - a_k = 0, so it is orthogonal
-to the element vector; any 0-1 row-sum vector v therefore marks a subset
-S = {k : v_k = 1} with element sum zero.  The matrix is a pure function of the
-representation table, so the audit trail keeps only the table and the witness,
-and verification sums the witness rows straight from the table.
+Row k of the class matrix of the representation table is e_i + e_j - e_k for
+reps[k] = (i, j), so it is orthogonal to the element vector; any 0-1 row-sum
+vector v therefore marks a subset S = {k : v_k = 1} with element sum zero.
+The matrix is a pure function of the table, so the witness is reduced from the
+table in pair form, the audit trail keeps only the table and the witness, and
+verification sums the witness rows straight from the table.  No matrix is built.
 """
 from __future__ import annotations
 
@@ -14,8 +15,9 @@ from typing import Optional
 from . import groups
 from .errors import InternalVerificationError
 from .sumfull import InputSet, RepresentationTable, check_sum_full, verify_table
-from .witness import ConstraintMatrix, WitnessSubset, check_order, find_witness
-from .witness import verify_witness  # noqa: F401  the dense reference; perfbench/layers.py hooks it here
+from .witness import ConstraintMatrix, WitnessSubset, check_order, find_witness_pairs
+# the dense references, kept importable here because perfbench/layers.py hooks them by name
+from .witness import find_witness, verify_witness  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,7 @@ def extract(a: InputSet) -> ZeroSumCertificate:
         return ZeroSumCertificate((pos[z],), None)
     check_order(len(a.elements))
     t = check_sum_full(a)
-    m = build_matrix(t)
-    w = find_witness(m)
+    w = find_witness_pairs(t.reps)
     s = support(w.vector)
     if groups.scalar_sum([a.elements[k] for k in s], a.spec) != z:
         raise InternalVerificationError("witness support does not sum to zero")

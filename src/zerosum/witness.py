@@ -2,11 +2,15 @@
 
 Every such matrix admits a nonempty set of rows whose sum is a nonzero vector
 of zeros and ones.  find_witness constructs one by a reduction that removes
-one or two rows/columns per step; verify_witness and all_witnesses recheck
-results by direct arithmetic.  Every class matrix is built here, under MATRIX_MAX_N.
+one or two rows/columns per step; find_witness_pairs makes the same choices on
+the pair table (row k is e_i + e_j - e_k), building no matrix, and is the one
+the package uses, with find_witness as the dense reference.  verify_witness
+and all_witnesses recheck results by direct arithmetic.  Every class matrix is
+built here, under MATRIX_MAX_N.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -18,6 +22,7 @@ ALL_WITNESSES_MAX_N = 25
 MATRIX_MAX_N = 2000
 
 TraceFn = Callable[[np.ndarray, np.ndarray], None]
+PairTraceFn = Callable[[tuple[int, ...], tuple[tuple[int, int], ...]], None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,6 +47,16 @@ class ConstraintMatrix:
 
     def tolist(self) -> list[list[int]]:
         return self.entries.tolist()
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """Row k plus e_k read as a multiset {i, j} of two columns, i <= j: the pair table."""
+        a = self.entries + np.eye(self.n, dtype=np.int64)
+        bad = np.flatnonzero((a < 0).any(axis=1) | (a.sum(axis=1) != 2))
+        if bad.size:
+            raise MatrixClassError("row is not e_i + e_j - e_k", int(bad[0]), 0)
+        rows, cols = np.nonzero(a)
+        flat = np.repeat(cols, a[rows, cols]).tolist()
+        return list(zip(flat[0::2], flat[1::2]))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> ConstraintMatrix:
@@ -186,6 +201,127 @@ def find_witness(M: ConstraintMatrix, *, trace: Optional[TraceFn] = None) -> Wit
     if not _is_witness_vector(v):
         raise InternalVerificationError("constructed row set does not sum to a nonzero 0-1 vector")
     return WitnessSubset(rows, tuple(int(x) for x in v))
+
+
+def find_witness_pairs(pairs: Sequence[tuple[int, int]], *,
+                       trace: Optional[PairTraceFn] = None) -> WitnessSubset:
+    """find_witness on the pair table of a class matrix: row k is e_i + e_j - e_k for pairs[k] = (i, j).
+
+    Every reduction of find_witness is an edit of the table, with the same
+    smallest-first choices, and no matrix is built.  Row r's diagonal is
+    nonnegative exactly when r is in its own pair, and a column's off-diagonal
+    sum is its in-degree, the number of pair slots naming it.  Dropping c
+    removes row c; the merge of column p into column q renames p to q in the
+    pairs of p's users, and only row q can become its own summand there.  The
+    unwind replays the logged renames backwards on the chosen rows only, so
+    the column sums of find_witness are read from slot counts and nothing is
+    snapshotted.  The returned vector is recomputed from the original pairs.
+    trace, when given, receives after each reduction the live rows, ascending,
+    with their current pairs.
+    """
+    n = len(pairs)
+    cur = [list(pr) for pr in pairs]
+    users: list[dict[int, int]] = [{} for _ in range(n)]  # column -> {row: slots naming it}
+    indeg = [0] * n
+    for k, (i, j) in enumerate(pairs):
+        for col in (i, j):
+            users[col][k] = users[col].get(k, 0) + 1
+            indeg[col] += 1
+    live = [True] * n
+    light = [c for c in range(n) if indeg[c] <= 1]  # ascending, so already a heap; lazy
+    # (p, c, q, p's users at the merge by slot count); p's pair was (c, q)
+    lifts: list[tuple[int, int, int, dict[int, int]]] = []
+
+    def drop_row(r: int) -> None:
+        live[r] = False
+        for col in cur[r]:
+            u = users[col]
+            if u[r] == 1:
+                del u[r]
+            else:
+                u[r] -= 1
+            indeg[col] -= 1
+            if indeg[col] <= 1:
+                heapq.heappush(light, col)
+
+    def report() -> None:
+        rows = tuple(r for r in range(n) if live[r])
+        trace(rows, tuple((cur[r][0], cur[r][1]) for r in rows))
+
+    unit = next((k for k, (i, j) in enumerate(pairs) if k == i or k == j), None)
+    while unit is None:
+        while light and (not live[light[0]] or indeg[light[0]] > 1):
+            heapq.heappop(light)
+        if not light:
+            chosen = [r for r in range(n) if live[r]]
+            if any(indeg[r] != 2 for r in chosen):
+                raise InternalVerificationError("off-diagonal column sums do not average to 2")
+            break
+        c = heapq.heappop(light)
+        if indeg[c] == 0:
+            drop_row(c)
+            if trace is not None:
+                report()
+            continue
+        if len(users[c]) != 1:
+            raise InternalVerificationError("column with off-diagonal sum 1 lacks a unique carrier row")
+        (p,) = users[c]
+        q = cur[p][1] if cur[p][0] == c else cur[p][0]
+        if q == c or q == p:
+            raise InternalVerificationError("carrier row lacks a unique second unit column")
+        drop_row(c)
+        drop_row(p)
+        moved = users[p]
+        users[p] = {}
+        uq = users[q]
+        for r, k in moved.items():
+            uq[r] = uq.get(r, 0) + k
+            pr = cur[r]
+            if pr[0] == p:
+                pr[0] = q
+            if pr[1] == p:
+                pr[1] = q
+        indeg[q] += indeg[p]
+        indeg[p] = 0
+        if indeg[q] <= 1:
+            heapq.heappush(light, q)
+        lifts.append((p, c, q, moved))
+        if q in moved:
+            unit = q
+        if trace is not None:
+            report()
+    if unit is not None:
+        chosen = [unit]
+
+    in_set = [False] * n
+    slots = [0] * n  # slots naming each column, over the chosen rows' pairs
+    for r in chosen:
+        in_set[r] = True
+        for col in cur[r]:
+            slots[col] += 1
+    for p, c, q, moved in reversed(lifts):
+        for r, k in moved.items():
+            if in_set[r]:
+                slots[q] -= k
+                slots[p] += k
+        if in_set[q] and slots[q] - 1 < 0:
+            sigma_p, sigma_q = slots[p], slots[q] - 1
+            if sigma_q != -1 or sigma_p not in (1, 2):
+                raise InternalVerificationError(f"merge unwind saw column sums ({sigma_p}, {sigma_q})")
+            in_set[p] = True
+            slots[c] += 1
+            slots[q] += 1
+
+    rows = tuple(r for r in range(n) if in_set[r])
+    v = [0] * n
+    for r in rows:
+        i, j = pairs[r]
+        v[i] += 1
+        v[j] += 1
+        v[r] -= 1
+    if 1 not in v or not set(v) <= {0, 1}:
+        raise InternalVerificationError("constructed row set does not sum to a nonzero 0-1 vector")
+    return WitnessSubset(rows, tuple(v))
 
 
 def verify_witness(M: ConstraintMatrix, w: WitnessSubset) -> bool:

@@ -17,7 +17,7 @@ from zerosum.gen import GenConfig, random_matrix, random_set, random_sumfull_set
 from zerosum.groups import GroupSpec
 from zerosum.oracle import (brute_force_zero_sum, enumerate_class,
                             max_zero_sum_free_length, quadruple_oracle)
-from zerosum.witness import find_witness, verify_witness
+from zerosum.witness import find_witness_pairs, verify_witness
 
 _DIGESTS: dict[str, str] = {}
 
@@ -64,7 +64,7 @@ def criterion_1() -> dict:
         total = 0
         for m in enumerate_class(n):
             total += 1
-            w = find_witness(m)
+            w = find_witness_pairs(m.pairs())
             if not verify_witness(m, w):
                 failures += 1
             hasher.update(_witness_json(w))
@@ -288,13 +288,13 @@ def criterion_6() -> dict:
     failures = 0
     for seed in range(10_000):
         m = random_matrix(200, seed)
-        w = find_witness(m)
+        w = find_witness_pairs(m.pairs())
         if not verify_witness(m, w):
             failures += 1
         hasher.update(_witness_json(w))
     for seed in range(10):
         m = random_matrix(1000, seed)
-        w = find_witness(m)
+        w = find_witness_pairs(m.pairs())
         if not verify_witness(m, w):
             failures += 1
         hasher.update(_witness_json(w))

@@ -160,6 +160,36 @@ def test_verify_builds_no_matrix(monkeypatch):
         assert run_json(["verify"], cert)[:2] == (0, VALID)
 
 
+# What extract printed on Z_7 and on {-2c, -c, c, 2c} in Z, c = 3 * 2^60, when it
+# reduced a dense class matrix; the pair reduction must print the same bytes.
+EXTRACTED = (
+    '{"elements":[[1],[2],[3],[4],[5],[6]],"format":2,"group":{"free_rank":0,"torsion":[7]},'
+    '"subset":[1,4],"sum_check":"zero","trail":{"reps":[[1,5],[0,0],[0,1],[0,2],[0,3],[0,4]],'
+    '"witness":{"rows":[0,5],"vector":[0,1,0,0,1,0]}}}\n',
+    '{"elements":[[-6917529027641081856],[-3458764513820540928],[3458764513820540928],'
+    '[6917529027641081856]],"format":2,"group":{"free_rank":1,"torsion":[]},"subset":[0,3],'
+    '"sum_check":"zero","trail":{"reps":[[1,1],[0,2],[1,3],[2,2]],'
+    '"witness":{"rows":[1,2],"vector":[1,0,0,1]}}}\n',
+)
+
+
+def _no_dense_reduction(*args, **kwargs):
+    raise AssertionError("extract built a class matrix")
+
+
+def test_extract_builds_no_matrix(monkeypatch):
+    c = 3 * 2**60
+    edge = {"group": {"free_rank": 1, "torsion": []},
+            "elements": [[k * c] for k in (-2, -1, 1, 2)]}
+    z7 = {"group": {"free_rank": 0, "torsion": [7]}, "elements": [[k] for k in range(1, 7)]}
+    for owner, attr in ((witness.ConstraintMatrix, "from_pairs"),
+                        (witness.ConstraintMatrix, "from_rows"), (extractor, "build_matrix"),
+                        (witness, "find_witness"), (extractor, "find_witness")):
+        monkeypatch.setattr(owner, attr, _no_dense_reduction)
+    for instance, expected in zip((z7, edge), EXTRACTED):
+        assert run_cli(["extract", "--input", "-"], json.dumps(instance))[:2] == (0, expected)
+
+
 def test_check_at_64_bit_edge_is_not_sum_full():
     code, out, _ = run_json(["check"], {"group": {"free_rank": 1, "torsion": []},
                                         "elements": [[-2**62], [2**62]]})
@@ -564,6 +594,21 @@ def test_malformed_json_exits_1():
     code, _, err = run_cli(["extract", "--input", "-"], "{not json")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("depth", [1_000, 100_000])
+def test_deeply_nested_json_exits_1(depth):
+    # json.loads raises RecursionError past about 1,000 levels; dispatch answers it
+    text = "[" * depth + "]" * depth
+    for command in sorted(set(cli.COMMANDS) - {"enumerate"}):
+        assert run_cli([command, "--input", "-"], text) == (1, "", "error: JSON nested too deeply\n")
+
+
+@pytest.mark.parametrize("command", ["gen", "fuzz"])
+def test_gen_config_refuses_unknown_fields(command):
+    code, out, err = run_json([command, "--n", "1"], {"cuont": 5000, "mode": "random_set"})
+    assert (code, out) == (1, None)
+    assert "'cuont'" in err
 
 
 def test_missing_field_exits_1():

@@ -6,10 +6,11 @@ internals of the pipeline can be shown not to change what is certified.
 The inputs are the 210 `full_nonzero` groups of acceptance criterion 2 plus
 the `prune_closure` sets of Z (count 20, bound 50) for seeds 0..299.
 
-A second digest pins the (rows, vector) that `find_witness` returns on every
-class matrix of order <= 4 and on `random_matrix(n, s)` for n in {7, 40, 200}
-and s < 100, so a change to the matrix representation or to the reduction
-can be shown to keep the smallest-first choice of witness.
+A second digest pins the (rows, vector) that `find_witness`, and the pair
+reduction `find_witness_pairs` with it, returns on every class matrix of order
+<= 4 and on `random_matrix(n, s)` for n in {7, 40, 200} and s < 100, so a
+change to the matrix representation or to the reduction can be shown to keep
+the smallest-first choice of witness.
 
 A third digest pins the matrices that `random_matrix(n, s)` draws for n in
 {1, 2, 3, 6, 40} and s < 50, so a change to how a draw is stored can be shown
@@ -22,7 +23,7 @@ from zerosum.extractor import extract
 from zerosum.gen import GenConfig, random_matrix, random_sumfull_set
 from zerosum.groups import GroupSpec
 from zerosum.oracle import enumerate_class
-from zerosum.witness import find_witness
+from zerosum.witness import find_witness, find_witness_pairs
 from test_acceptance import _criterion_2_specs
 
 GOLDEN_SHA256 = "f3b8438639a3fe7148a66873276bd85e85eefe0fde5cf45cc61118326bc0e379"
@@ -72,11 +73,11 @@ def _matrices():
             yield random_matrix(n, seed)
 
 
-def witness_digest() -> tuple[int, str]:
+def witness_digest(reduce=find_witness) -> tuple[int, str]:
     hasher = hashlib.sha256()
     count = 0
     for m in _matrices():
-        w = find_witness(m)
+        w = reduce(m)
         hasher.update(json.dumps([list(w.rows), list(w.vector)], separators=(",", ":")).encode()
                       + b"\n")
         count += 1
@@ -87,6 +88,8 @@ def test_witnesses_pinned():
     count, digest = witness_digest()
     assert count == 1 + 9 + 216 + 10_000 + 300
     assert digest == WITNESS_SHA256
+    # the pair reduction picks the same witnesses
+    assert witness_digest(lambda m: find_witness_pairs(m.pairs())) == (count, WITNESS_SHA256)
 
 
 def test_random_matrices_pinned():

@@ -9,7 +9,8 @@ import hypothesis.strategies as st
 from zerosum.errors import BudgetExceeded, MatrixClassError
 from zerosum.gen import random_matrix
 from zerosum.oracle import count_class, enumerate_class
-from zerosum.witness import (all_witnesses, find_witness, validate_membership, verify_witness)
+from zerosum.witness import (all_witnesses, find_witness, find_witness_pairs, validate_membership,
+                             verify_witness)
 
 
 def test_validate_accepts_m1():
@@ -185,6 +186,71 @@ def test_all_negative_diagonal_fuzz():
         else:
             w = find_witness(m)
         assert verify_witness(m, w)
+        assert find_witness_pairs(m.pairs()) == w
+
+
+def _densify(rows, pairs):
+    pos = {r: k for k, r in enumerate(rows)}
+    a = -np.eye(len(rows), dtype=np.int64)
+    for k, (i, j) in enumerate(pairs):
+        a[k, pos[i]] += 1
+        a[k, pos[j]] += 1
+    return a
+
+
+def test_pairs_reads_back_the_table():
+    m = validate_membership([[-1, 2, 0], [1, 0, 0], [0, 1, 0]])
+    assert m.pairs() == [(1, 1), (0, 1), (1, 2)]
+    for n in (1, 6, 40):
+        for seed in range(20):
+            m = random_matrix(n, seed)
+            assert np.array_equal(_densify(range(n), m.pairs()), m.entries)
+
+
+def test_pair_reduction_matches_dense_on_small_orders():
+    # the same witness, and the same reduced matrices in the same order, as the
+    # dense reduction; every reduced state is a class member
+    checked = 0
+    for n in (1, 2, 3, 4):
+        for m in enumerate_class(n):
+            dense, pair = [], []
+            w = find_witness(m, trace=lambda entries, idx: dense.append((entries.copy(), idx.tolist())))
+            assert find_witness_pairs(m.pairs(), trace=lambda *state: pair.append(state)) == w
+            assert len(pair) == len(dense)
+            for (rows, pairs), (entries, idx) in zip(pair, dense):
+                assert list(rows) == idx
+                reduced = _densify(rows, pairs)
+                validate_membership(reduced)
+                assert np.array_equal(reduced, entries)
+                checked += 1
+    assert checked > 0
+
+
+def test_pair_reduction_matches_dense_on_random_matrices():
+    for n in (7, 40, 200):
+        for seed in range(30):
+            m = random_matrix(n, seed)
+            assert find_witness_pairs(m.pairs()) == find_witness(m)
+
+
+def test_pair_reduction_matches_dense_on_a_wide_interval():
+    # the table of [-1000, 1000] \ {0} in Z: the dense reduction of its order-2000
+    # matrix is the slowest input known, about 10 s on a 2-core box
+    from zerosum.extractor import build_matrix
+    from zerosum.formats import instance_from_json
+    from zerosum.sumfull import check_sum_full
+
+    a = instance_from_json({"group": {"free_rank": 1, "torsion": []},
+                            "elements": [[v] for v in range(-1000, 1001) if v]})
+    t = check_sum_full(a)
+    assert find_witness_pairs(t.reps) == find_witness(build_matrix(t))
+
+
+def test_pair_reduction_refuses_a_non_class_matrix():
+    m = random_matrix(3, 0)
+    bad = type(m)(m.entries - np.eye(3, dtype=np.int64))
+    with pytest.raises(MatrixClassError):
+        bad.pairs()
 
 
 def test_count_class_formula():
