@@ -253,8 +253,7 @@ def find_witness_pairs(pairs: Sequence[tuple[int, int]], *,
         while light and (not live[light[0]] or indeg[light[0]] > 1):
             heapq.heappop(light)
         if not light:
-            chosen = [r for r in range(n) if live[r]]
-            if any(indeg[r] != 2 for r in chosen):
+            if any(live[r] and indeg[r] != 2 for r in range(n)):
                 raise InternalVerificationError("off-diagonal column sums do not average to 2")
             break
         c = heapq.heappop(light)
@@ -272,7 +271,6 @@ def find_witness_pairs(pairs: Sequence[tuple[int, int]], *,
         drop_row(c)
         drop_row(p)
         moved = users[p]
-        users[p] = {}
         uq = users[q]
         for r, k in moved.items():
             uq[r] = uq.get(r, 0) + k
@@ -282,7 +280,6 @@ def find_witness_pairs(pairs: Sequence[tuple[int, int]], *,
             if pr[1] == p:
                 pr[1] = q
         indeg[q] += indeg[p]
-        indeg[p] = 0
         if indeg[q] <= 1:
             heapq.heappush(light, q)
         lifts.append((p, c, q, moved))
@@ -290,8 +287,7 @@ def find_witness_pairs(pairs: Sequence[tuple[int, int]], *,
             unit = q
         if trace is not None:
             report()
-    if unit is not None:
-        chosen = [unit]
+    chosen = [unit] if unit is not None else [r for r in range(n) if live[r]]
 
     in_set = [False] * n
     slots = [0] * n  # slots naming each column, over the chosen rows' pairs
@@ -304,13 +300,17 @@ def find_witness_pairs(pairs: Sequence[tuple[int, int]], *,
             if in_set[r]:
                 slots[q] -= k
                 slots[p] += k
-        if in_set[q] and slots[q] - 1 < 0:
-            sigma_p, sigma_q = slots[p], slots[q] - 1
-            if sigma_q != -1 or sigma_p not in (1, 2):
-                raise InternalVerificationError(f"merge unwind saw column sums ({sigma_p}, {sigma_q})")
-            in_set[p] = True
-            slots[c] += 1
-            slots[q] += 1
+        if in_set[q]:
+            sigma_q = slots[q] - 1
+            if sigma_q < 0:
+                sigma_p = slots[p]
+                if sigma_q != -1 or sigma_p not in (1, 2):
+                    raise InternalVerificationError(
+                        f"merge unwind saw column sums ({sigma_p}, {sigma_q})"
+                    )
+                in_set[p] = True
+                slots[c] += 1
+                slots[q] += 1
 
     rows = tuple(r for r in range(n) if in_set[r])
     v = [0] * n

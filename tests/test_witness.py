@@ -9,8 +9,8 @@ import hypothesis.strategies as st
 from zerosum.errors import BudgetExceeded, MatrixClassError
 from zerosum.gen import random_matrix
 from zerosum.oracle import count_class, enumerate_class
-from zerosum.witness import (all_witnesses, find_witness, find_witness_pairs, validate_membership,
-                             verify_witness)
+from zerosum.witness import (ConstraintMatrix, all_witnesses, find_witness, find_witness_pairs,
+                             validate_membership, verify_witness)
 
 
 def test_validate_accepts_m1():
@@ -247,8 +247,7 @@ def test_pair_reduction_matches_dense_on_a_wide_interval():
 
 
 def test_pair_reduction_refuses_a_non_class_matrix():
-    m = random_matrix(3, 0)
-    bad = type(m)(m.entries - np.eye(3, dtype=np.int64))
+    bad = ConstraintMatrix.from_rows([[-1, 3, 0], [0, -1, 1], [1, 1, -1]])
     with pytest.raises(MatrixClassError):
         bad.pairs()
 
