@@ -20,6 +20,7 @@ from .errors import BudgetExceeded, InternalVerificationError, MatrixClassError
 
 ALL_WITNESSES_MAX_N = 25
 MATRIX_MAX_N = 2000
+SHARED_WITNESS_MAX_N = 6
 
 TraceFn = Callable[[np.ndarray, np.ndarray], None]
 PairTraceFn = Callable[[tuple[int, ...], tuple[tuple[int, int], ...]], None]
@@ -87,6 +88,22 @@ class WitnessSubset:
 
     rows: tuple[int, ...]
     vector: tuple[int, ...]
+
+
+# Order n has at most 4**n witnesses, so up to SHARED_WITNESS_MAX_N each is
+# built once and then shared: a sweep over the class matrices of a small order
+# keeps one reference per matrix instead of three objects.
+_shared_witnesses: dict[tuple[tuple[int, ...], tuple[int, ...]], WitnessSubset] = {}
+
+
+def _witness(rows: tuple[int, ...], vector: tuple[int, ...]) -> WitnessSubset:
+    if len(vector) > SHARED_WITNESS_MAX_N:
+        return WitnessSubset(rows, vector)
+    key = (rows, vector)
+    w = _shared_witnesses.get(key)
+    if w is None:
+        w = _shared_witnesses[key] = WitnessSubset(rows, vector)
+    return w
 
 
 def validate_membership(matrix: Sequence[Sequence[int]]) -> ConstraintMatrix:
@@ -200,7 +217,7 @@ def find_witness(M: ConstraintMatrix, *, trace: Optional[TraceFn] = None) -> Wit
     v = top[list(rows)].sum(axis=0)
     if not _is_witness_vector(v):
         raise InternalVerificationError("constructed row set does not sum to a nonzero 0-1 vector")
-    return WitnessSubset(rows, tuple(int(x) for x in v))
+    return _witness(rows, tuple(int(x) for x in v))
 
 
 def find_witness_pairs(pairs: Sequence[tuple[int, int]], *,
@@ -321,7 +338,7 @@ def find_witness_pairs(pairs: Sequence[tuple[int, int]], *,
         v[r] -= 1
     if 1 not in v or not set(v) <= {0, 1}:
         raise InternalVerificationError("constructed row set does not sum to a nonzero 0-1 vector")
-    return WitnessSubset(rows, tuple(v))
+    return _witness(rows, tuple(v))
 
 
 def verify_witness(M: ConstraintMatrix, w: WitnessSubset) -> bool:

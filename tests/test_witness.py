@@ -252,6 +252,22 @@ def test_pair_reduction_refuses_a_non_class_matrix():
         bad.pairs()
 
 
+def test_small_order_witnesses_are_shared():
+    # equal witnesses up to SHARED_WITNESS_MAX_N are one object, from either
+    # reduction; above it each call builds its own
+    from zerosum.witness import SHARED_WITNESS_MAX_N
+
+    by_value = {}
+    for m in enumerate_class(3):
+        for w in (find_witness(m), find_witness_pairs(m.pairs())):
+            assert by_value.setdefault(w, w) is w
+    assert 1 < len(by_value) < 4**3
+    n = SHARED_WITNESS_MAX_N + 1
+    m = random_matrix(n, 0)
+    first, again = find_witness(m), find_witness(m)
+    assert first == again and first is not again
+
+
 def test_count_class_formula():
     assert [count_class(n) for n in (1, 2, 3, 4, 5)] == [1, 9, 216, 10_000, 759_375]
 
