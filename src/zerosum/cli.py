@@ -38,6 +38,10 @@ EXIT_INTERNAL = 4
 # group operations, so the worst case at the cap is four seeds of count 5000.
 FUZZ_MAX_DRAWS = 20_000
 
+# The fork start method starts every worker of a pool at its first submit, so
+# --workers alone must not set how many processes are forked.
+MAX_WORKERS = 64
+
 
 def _read_json(args, stdin: IO[str]):
     if args.input is None:
@@ -104,13 +108,15 @@ def cmd_oracle(args, stdin, stdout) -> int:
 
 
 def _map(fn, items: list, workers: int) -> list:
-    """fn over items, results in item order; the pool never has more workers than items."""
+    """fn over items, results in item order; the pool never has more workers
+    than items, nor more than MAX_WORKERS."""
     if workers < 1:
         raise InputFormatError(f"--workers must be >= 1, got {workers}")
     if workers == 1 or len(items) <= 1:
         return list(map(fn, items))
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items, chunksize=math.ceil(len(items) / workers)))
+    size = min(workers, len(items), MAX_WORKERS)
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return list(pool.map(fn, items, chunksize=math.ceil(len(items) / size)))
 
 
 def _enumerate_first_row(task: tuple[int, int, bool]) -> tuple[int, int]:

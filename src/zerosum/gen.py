@@ -2,7 +2,9 @@
 
 All randomness comes from a SplitMix64 stream so that a (config, seed) pair
 pins the instance bit-for-bit; see the README for the exact state evolution
-and the bounded-draw and composition-unranking rules.
+and the bounded-draw and composition-unranking rules.  This module only
+draws: prune_closure peels its draw with sumfull.prune_to_sumfull, which it
+imports, so gen.prune_to_sumfull stays the name that callers use and replace.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from typing import Optional
 from . import groups
 from .errors import BudgetExceeded, NotSumFullError
 from .groups import GroupElement, GroupSpec
-from .sumfull import InputSet, check_sum_full
+from .sumfull import InputSet, check_sum_full, prune_to_sumfull
 from .witness import ConstraintMatrix, check_order
 
 MASK64 = 2**64 - 1
@@ -113,36 +115,6 @@ def random_set(cfg: GenConfig) -> tuple[GroupElement, ...]:
     rng = SplitMix64(cfg.seed)
     drawn = [_draw_element(rng, cfg.group, cfg.bound) for _ in range(cfg.count)]
     return groups.canonical_elements(drawn)
-
-
-def prune_to_sumfull(spec: GroupSpec, elements: tuple[GroupElement, ...]) -> tuple[GroupElement, ...]:
-    """The largest sum-full subset of elements, in their order, by peeling.
-
-    Each element is searched once for a pair y + z of other survivors; an
-    element without one is deleted, and only the survivors whose pair used it
-    are searched again.  A member of the largest sum-full subset always keeps
-    a pair inside it, so it is never deleted, and once the worklist is empty
-    every survivor has a pair among the survivors: the result is that subset,
-    whatever the order of the searches.
-    """
-    add, negate = groups.arithmetic(spec)
-    alive = {x: negate(x) for x in elements}
-    users: dict[GroupElement, list[GroupElement]] = {x: [] for x in elements}
-    work = list(reversed(elements))
-    while work:
-        t = work.pop()
-        if t not in alive:
-            continue
-        for y, neg in alive.items():
-            z = add(t, neg)
-            if z in alive and z != t and y != t:
-                users[y].append(t)
-                users[z].append(t)
-                break
-        else:
-            del alive[t]
-            work.extend(users[t])
-    return tuple(x for x in elements if x in alive)
 
 
 def random_sumfull_set(cfg: GenConfig) -> Optional[InputSet]:

@@ -1,11 +1,14 @@
-"""Sum-fullness decision and deterministic representation fixing.
+"""Sum-fullness: the one representation search, and what is built on it.
 
 A set is sum-full when every element is a sum of two *other* elements of the
 set (the two summands may coincide with each other, never with the element
-they represent).  least_pairs is the one search for least representations:
-check_sum_full either fixes one representation per element from it or raises
-NotSumFullError for the least element that has none.  Both trust the shapes checked at ingest and
-use the group's unchecked arithmetic.
+they represent).  _first_pair is the one search for such a representation of
+one target.  least_pairs runs it over every element to fix the least pairs:
+check_sum_full either keeps one representation per element from them or
+raises NotSumFullError for the least element that has none.
+prune_to_sumfull runs it under a worklist to peel a set down to its largest
+sum-full subset.  All of them trust the shapes checked at ingest and use the
+group's unchecked arithmetic.
 """
 from __future__ import annotations
 
@@ -47,6 +50,18 @@ class RepresentationTable:
     reps: tuple[tuple[int, int], ...]
 
 
+def _first_pair(add, target: GroupElement, key: int, summands,
+                members: dict[GroupElement, int]) -> Optional[tuple[int, int]]:
+    """The first (i, j) over summands, pairs (i, -a_i) in order, with
+    j = members[target - a_i] and i != key != j, where key is the target's own
+    index; None when there is none."""
+    for i, neg in summands:
+        j = members.get(add(target, neg))
+        if j is not None and i != key != j:
+            return i, j
+    return None
+
+
 def least_pairs(spec: GroupSpec,
                 elements: Sequence[GroupElement]) -> Iterator[Optional[tuple[int, int]]]:
     """For each index k in turn, the least pair (i, j), i <= j, both different
@@ -58,17 +73,9 @@ def least_pairs(spec: GroupSpec,
     """
     add, negate = groups.arithmetic(spec)
     pos = {x: k for k, x in enumerate(elements)}
-    negs = [negate(x) for x in elements]
+    summands = [(i, negate(x)) for i, x in enumerate(elements)]
     for k, target in enumerate(elements):
-        for i, neg in enumerate(negs):
-            if i == k:
-                continue
-            j = pos.get(add(target, neg))
-            if j is not None and j != k:
-                yield i, j
-                break
-        else:
-            yield None
+        yield _first_pair(add, target, k, summands, pos)
 
 
 def check_sum_full(a: InputSet) -> RepresentationTable:
@@ -82,6 +89,35 @@ def check_sum_full(a: InputSet) -> RepresentationTable:
             raise NotSumFullError(k)
         reps.append(pair)
     return RepresentationTable(tuple(reps))
+
+
+def prune_to_sumfull(spec: GroupSpec, elements: tuple[GroupElement, ...]) -> tuple[GroupElement, ...]:
+    """The largest sum-full subset of the distinct elements, in their order, by peeling.
+
+    Each element is searched once for a pair y + z of other survivors; an
+    element without one is deleted, and only the survivors whose pair used it
+    are searched again.  A member of the largest sum-full subset always keeps
+    a pair inside it, so it is never deleted, and once the worklist is empty
+    every survivor has a pair among the survivors: the result is that subset,
+    whatever the order of the searches.
+    """
+    add, negate = groups.arithmetic(spec)
+    members = {x: k for k, x in enumerate(elements)}  # survivor -> its index
+    survivors = {k: negate(x) for k, x in enumerate(elements)}  # index -> negation, in order
+    users: list[list[int]] = [[] for _ in elements]
+    work = list(range(len(elements) - 1, -1, -1))
+    while work:
+        k = work.pop()
+        if k not in survivors:
+            continue
+        pair = _first_pair(add, elements[k], k, survivors.items(), members)
+        if pair is None:
+            del survivors[k], members[elements[k]]
+            work.extend(users[k])
+        else:
+            for i in pair:
+                users[i].append(k)
+    return tuple(elements[k] for k in survivors)
 
 
 def verify_table(a: InputSet, t: RepresentationTable) -> bool:

@@ -109,6 +109,24 @@ def test_verify_answers_invalid_on_malformed_certificate_parts():
         assert (code, verdict) == (1, {"format": 1, "valid": False}), what
 
 
+def test_verify_accepts_every_sound_certificate():
+    # verify is a soundness check, not a canonical one: on Z {-4, ..., 4} \ {0} it
+    # accepts a table of last pairs instead of least ones, and the least table with
+    # the last of its 29 witnesses, although extract writes neither document.
+    base = {"format": 2, "group": {"free_rank": 1, "torsion": []},
+            "elements": [[v] for v in (-4, -3, -2, -1, 1, 2, 3, 4)], "sum_check": "zero"}
+    last_pairs = dict(base, subset=[2, 5], trail={
+        "reps": [[2, 2], [2, 3], [3, 3], [2, 4], [3, 5], [4, 4], [4, 5], [5, 5]],
+        "witness": {"rows": [3, 4], "vector": [0, 0, 1, 0, 0, 1, 0, 0]}})
+    last_witness = dict(base, subset=[0, 1, 3, 4, 6, 7], trail={
+        "reps": [[1, 3], [0, 4], [0, 5], [0, 6], [1, 7], [2, 7], [3, 7], [4, 6]],
+        "witness": {"rows": [0, 2, 3, 5, 6, 7], "vector": [1, 1, 0, 1, 1, 0, 1, 1]}})
+    _, written, _ = run_json(["extract"], base)
+    for doc in (last_pairs, last_witness):
+        assert doc != written
+        assert run_json(["verify"], doc)[:2] == (0, VALID)
+
+
 def test_verify_null_trail_formats():
     _, cert, _ = run_json(["extract"], {"group": {"free_rank": 1, "torsion": []},
                                         "elements": [[-1], [0], [1]]})
@@ -313,6 +331,14 @@ def test_pool_is_sized_to_the_tasks(monkeypatch):
         assert out == run_cli(argv)[1]
         assert sizes.pop() == tasks
     assert sizes == []
+
+
+def test_pool_is_capped(monkeypatch):
+    sizes = _record_pools(monkeypatch)
+    code, out, _ = run_cli(["fuzz", "--n", "100", "--workers", "10000"])
+    assert code == 0
+    assert sizes == [cli.MAX_WORKERS] and cli.MAX_WORKERS < 100
+    assert out == run_cli(["fuzz", "--n", "100"])[1]
 
 
 def test_batch_orders_out_of_range_are_refused(monkeypatch):
@@ -602,6 +628,65 @@ def test_deeply_nested_json_exits_1(depth):
     text = "[" * depth + "]" * depth
     for command in sorted(set(cli.COMMANDS) - {"enumerate"}):
         assert run_cli([command, "--input", "-"], text) == (1, "", "error: JSON nested too deeply\n")
+
+
+F3_SQUARED = {"group": {"free_rank": 0, "torsion": [3, 3]},
+              "elements": [[i, j] for i in range(3) for j in range(3) if (i, j) != (0, 0)]}
+# Valid documents for every command whose valid inputs answer in milliseconds
+# (gen, fuzz, oracle and enumerate can run for seconds on a valid input).
+MUTATION_BASES = {
+    "check": INSTANCE,
+    "extract": INSTANCE,
+    "matrix-witness": {"matrix": [[-1, 1, 1], [1, -1, 1], [0, 2, -1]]},
+    "sidon": {"group": {"free_rank": 1, "torsion": []}, "elements": [[0], [1], [2], [3]]},
+    "quadruple": {"group": {"free_rank": 0, "torsion": [8]},
+                  "elements": [[v] for v in range(1, 8)], "subgroup_generators": [[2]]},
+    "olson": {"p": 3, "invariants": [1, 1]},
+    "audit3": F3_SQUARED,
+}
+MUTANT_VALUES = (None, True, False, 0.5, -2.0, 0, -1, 2**63, -(2**63) - 1, 2**64 + 7,
+                 "", "x", [], [0], [[1]], {}, {"format": 1})
+
+
+def _slots(node, parent, key):
+    """Every (container, key) in a JSON document, the document itself first."""
+    yield parent, key
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        items = []
+    for k, child in items:
+        yield from _slots(child, node, k)
+
+
+def _mutant(rng, base):
+    holder = [copy.deepcopy(base)]
+    for _ in range(1 + rng.below(3)):
+        slots = list(_slots(holder[0], holder, 0))
+        parent, key = slots[rng.below(len(slots))]
+        op = rng.below(3)
+        if op == 1 and parent is not holder:
+            del parent[key]
+        elif op == 2 and isinstance(parent, list) and parent is not holder:
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key] = copy.deepcopy(MUTANT_VALUES[rng.below(len(MUTANT_VALUES))])
+    return holder[0]
+
+
+def test_dispatch_answers_mutated_documents():
+    bases = dict(MUTATION_BASES, verify=run_json(["extract"], INSTANCE)[1])
+    commands = sorted(bases)
+    rng = gen.SplitMix64(2024)
+    codes = set()
+    for k in range(2000):
+        command = commands[k % len(commands)]
+        code, _, _ = run_cli([command, "--input", "-"], json.dumps(_mutant(rng, bases[command])))
+        assert code in range(5), (command, k)
+        codes.add(code)
+    assert {0, 1, 2, 3} <= codes
 
 
 @pytest.mark.parametrize("command", ["gen", "fuzz"])
