@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import IO, Optional, Union
 
 from . import char3, formats, gen, groups
@@ -186,25 +186,24 @@ def cmd_audit3(args, stdin, stdout) -> int:
     return EXIT_OK
 
 
-GEN_CONFIG_FIELDS = ("seed", "mode", "group", "count", "bound")
-
-
 def _gen_config(args, obj) -> GenConfig:
+    """GenConfig from the fields the config gives and the flags that override them."""
     if not isinstance(obj, dict):
         raise InputFormatError("the config must be a JSON object")
-    unknown = sorted(set(obj) - set(GEN_CONFIG_FIELDS))
+    names = [f.name for f in fields(GenConfig)]
+    unknown = sorted(set(obj) - set(names))
     if unknown:
         raise InputFormatError(f"unknown config field {unknown[0]!r}; the fields are "
-                               + ", ".join(GEN_CONFIG_FIELDS))
-
-    def field(key, kind, default):
-        return formats.require_field(obj, key, kind) if key in obj else default
-
-    seed = args.seed if args.seed is not None else field("seed", int, 0)
-    mode = args.mode or field("mode", str, "prune_closure")
-    group = formats.group_from_json(obj["group"]) if "group" in obj else groups.GroupSpec(1, ())
-    return GenConfig(seed=seed, group=group, mode=mode,
-                     count=field("count", int, 20), bound=field("bound", int, 50))
+                               + ", ".join(names))
+    given = {key: formats.require_field(obj, key, str if key == "mode" else int)
+             for key in obj if key != "group"}
+    if "group" in obj:
+        given["group"] = formats.group_from_json(obj["group"])
+    if args.seed is not None:
+        given["seed"] = args.seed
+    if args.mode:
+        given["mode"] = args.mode
+    return GenConfig(**given)
 
 
 def cmd_gen(args, stdin, stdout) -> int:
@@ -215,6 +214,8 @@ def cmd_gen(args, stdin, stdout) -> int:
         m = random_matrix(args.n, cfg.seed)
         _emit(stdout, {"format": FORMAT_VERSION, "matrix": m.tolist()})
         return EXIT_OK
+    if args.n is not None:
+        raise InputFormatError(f"gen --mode {cfg.mode} does not read --n")
     if cfg.mode == "random_set":
         els = random_set(cfg)
         _emit(stdout, {"format": FORMAT_VERSION, "group": formats.group_to_json(cfg.group),

@@ -9,13 +9,14 @@ verification sums the witness rows straight from the table.  No matrix is built.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
 from . import groups
 from .errors import InternalVerificationError
 from .sumfull import InputSet, RepresentationTable, check_sum_full, verify_table
-from .witness import ConstraintMatrix, WitnessSubset, check_order, find_witness_pairs
+from .witness import ConstraintMatrix, WitnessSubset, find_witness_pairs
 # the dense references, kept importable here because perfbench/layers.py hooks them by name
 from .witness import find_witness, verify_witness  # noqa: F401
 
@@ -52,10 +53,9 @@ def extract(a: InputSet) -> ZeroSumCertificate:
     that is not sum-full raises check_sum_full's NotSumFullError.
     """
     z = groups.zero(a.spec)
-    pos = a.positions()
-    if z in pos:
-        return ZeroSumCertificate((pos[z],), None)
-    check_order(len(a.elements))
+    k = bisect_left(a.elements, z)
+    if k < len(a.elements) and a.elements[k] == z:
+        return ZeroSumCertificate((k,), None)
     t = check_sum_full(a)
     w = find_witness_pairs(t.reps)
     s = support(w.vector)

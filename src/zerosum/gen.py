@@ -47,10 +47,10 @@ class SplitMix64:
 
 @dataclass(frozen=True)
 class GenConfig:
-    seed: int
-    group: GroupSpec
-    mode: str
-    count: int = 16
+    seed: int = 0
+    group: GroupSpec = GroupSpec(1, ())
+    mode: str = "prune_closure"
+    count: int = 20
     bound: int = 50
 
     def __post_init__(self):

@@ -28,7 +28,13 @@ PairTraceFn = Callable[[tuple[int, ...], tuple[tuple[int, int], ...]], None]
 
 @dataclass(frozen=True, eq=False)
 class ConstraintMatrix:
-    """Dense n x n integer matrix in the class: diag >= -1, off-diag >= 0, row sums 1."""
+    """Dense n x n integer matrix meant to be in the class: diag >= -1, off-diag >= 0, row sums 1.
+
+    The constructor and from_rows trust their input and accept any square
+    integer matrix; validate_membership is the checked constructor, and
+    from_pairs builds only class matrices.  pairs() refuses a row outside the
+    class, but dense find_witness on a matrix outside it proves nothing.
+    """
 
     entries: np.ndarray
 
