@@ -9,6 +9,7 @@ a zero-sum certificate; a repeated b yields a nontrivial additive quadruple.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -307,9 +308,9 @@ def audit_char3(a: InputSet) -> AuditReport:
     triple = [a.elements[k] for k in triple_idx]
     verdict = is_sidon(triple, g)
     if verdict is not True:
-        pos = a.positions()
         z = groups.zero(g)
-        surfaced = (pos[z],) if z in pos else None
+        k = bisect_left(a.elements, z)
+        surfaced = (k,) if k < len(a.elements) and a.elements[k] == z else None
         steps.append(AuditStep("sidon_triple", False,
                                {"triple": triple_idx,
                                 "quadruple": [groups.coords(x) for x in verdict.as_tuple()]}))

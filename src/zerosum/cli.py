@@ -34,8 +34,9 @@ EXIT_NOT_SUM_FULL = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-# fuzz draws --n times count elements; a prune_closure seed costs about count^2
-# group operations, so the worst case at the cap is four seeds of count 5000.
+# fuzz draws --n times count elements, or --n times the order - 1 nonzero
+# elements in full_nonzero mode; a prune_closure seed costs about count^2 group
+# operations, so the worst case at the cap is four seeds of count 5000.
 FUZZ_MAX_DRAWS = 20_000
 
 # The fork start method starts every worker of a pool at its first submit, so
@@ -252,8 +253,10 @@ def cmd_fuzz(args, stdin, stdout) -> int:
     runs = args.n if args.n is not None else 100
     if runs < 1:
         raise InputFormatError(f"fuzz needs --n >= 1, got {runs}")
-    if runs * cfg.count > FUZZ_MAX_DRAWS:
-        raise BudgetExceeded(f"--n {runs} times count {cfg.count} exceeds the cap {FUZZ_MAX_DRAWS}")
+    order = cfg.group.order() if cfg.mode == "full_nonzero" else None
+    per_run = cfg.count if order is None else order - 1
+    if runs * per_run > FUZZ_MAX_DRAWS:
+        raise BudgetExceeded(f"--n {runs} times {per_run} elements exceeds the cap {FUZZ_MAX_DRAWS}")
     tasks = [replace(cfg, seed=cfg.seed + k) for k in range(runs)]
     results = [r for r in _map(_fuzz_seed, tasks, args.workers) if r is not None]
     certificates = "".join(r for r in results if isinstance(r, str))

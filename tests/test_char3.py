@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import NoPower, Z, el, f3, full_nonzero, zmod, zset
-from zerosum import groups
+from zerosum import char3, groups
 from zerosum.char3 import (AdditiveQuadruple, ZeroSumList, audit_char3, chain_extract,
                            fp_basis, is_sidon, olson_bound, subgroup_closure, verify_quadruple)
 from zerosum.errors import BudgetExceeded, NotSumFullError
@@ -244,6 +244,23 @@ class TestAuditChar3:
         assert report.zero_sum_indices is not None
         surfaced = [a.elements[k] for k in report.zero_sum_indices]
         assert groups.scalar_sum(surfaced, a.spec) == groups.zero(a.spec)
+
+    def test_sidon_triple_failure_surfaces_no_zero_from_a_zero_free_set(self, monkeypatch):
+        # no sum-full input reaches this branch unpatched; zero membership is a
+        # bisection, not a map of every element
+        F = f3(2)
+        a = InputSet.from_elements(F, [el(F, 1, 0), el(F, 2, 0)])
+        quadruple = AdditiveQuadruple(el(F, 1, 0), el(F, 1, 0), el(F, 2, 0), el(F, 0, 0))
+
+        def refuse(self):
+            raise AssertionError("positions() built")
+
+        monkeypatch.setattr(char3, "is_sidon", lambda triple, g: quadruple)
+        monkeypatch.setattr(InputSet, "positions", refuse)
+        report = audit_char3(a)
+        assert report.failing_step == "sidon_triple"
+        assert report.steps[-1].detail["quadruple"] == [[1, 0], [1, 0], [2, 0], [0, 0]]
+        assert report.zero_sum_indices is None
 
     def test_audit_of_generated_inputs(self):
         rng = SplitMix64(11)
