@@ -9,7 +9,6 @@ a zero-sum certificate; a repeated b yields a nontrivial additive quadruple.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -122,7 +121,7 @@ def chain_extract(a: InputSet, h: SubgroupHandle) -> Union[ZeroSumList, Additive
     window's a-values are pairwise distinct and no b can be zero.
     """
     z = groups.zero(a.spec)
-    if z in set(a.elements):
+    if a.zero_index() is not None:
         return ZeroSumList((z,), True)
     table = check_sum_full(a)
     members = frozenset(h.realized)
@@ -308,9 +307,8 @@ def audit_char3(a: InputSet) -> AuditReport:
     triple = [a.elements[k] for k in triple_idx]
     verdict = is_sidon(triple, g)
     if verdict is not True:
-        z = groups.zero(g)
-        k = bisect_left(a.elements, z)
-        surfaced = (k,) if k < len(a.elements) and a.elements[k] == z else None
+        k = a.zero_index()
+        surfaced = None if k is None else (k,)
         steps.append(AuditStep("sidon_triple", False,
                                {"triple": triple_idx,
                                 "quadruple": [groups.coords(x) for x in verdict.as_tuple()]}))

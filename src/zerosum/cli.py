@@ -24,9 +24,9 @@ from .errors import (BudgetExceeded, InternalVerificationError, MatrixClassError
 from .extractor import extract, verify_certificate
 from .formats import FORMAT_VERSION, InputFormatError, dumps_canonical
 from .gen import GenConfig, random_matrix, random_set, random_sumfull_set
-from .oracle import ENUMERATE_MAX_N, brute_force_zero_sum, enumerate_class, row_options
+from .oracle import ENUMERATE_MAX_N, brute_force_zero_sum, class_tables, row_options
 from .sumfull import check_sum_full
-from .witness import find_witness_pairs, verify_witness
+from .witness import find_witness_pairs, witness_holds
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -123,11 +123,10 @@ def _map(fn, items: list, workers: int) -> list:
 def _enumerate_first_row(task: tuple[int, int, bool]) -> tuple[int, int]:
     n, option, verify = task
     total = failures = 0
-    for m in enumerate_class(n, first_rows=(option,)):
+    for pairs in class_tables(n, first_rows=(option,)):
         total += 1
-        if verify:
-            if not verify_witness(m, find_witness_pairs(m.pairs())):
-                failures += 1
+        if verify and not witness_holds(pairs, find_witness_pairs(pairs)):
+            failures += 1
     return total, failures
 
 
@@ -250,13 +249,17 @@ def cmd_fuzz(args, stdin, stdout) -> int:
     cfg = _gen_config(args, _read_json(args, stdin) if args.input else {})
     if cfg.mode not in ("prune_closure", "full_nonzero"):
         raise InputFormatError("fuzz supports prune_closure and full_nonzero modes")
-    runs = args.n if args.n is not None else 100
+    full = cfg.mode == "full_nonzero"
+    runs = args.n if args.n is not None else 1 if full else 100
     if runs < 1:
         raise InputFormatError(f"fuzz needs --n >= 1, got {runs}")
-    order = cfg.group.order() if cfg.mode == "full_nonzero" else None
+    order = cfg.group.order() if full else None
     per_run = cfg.count if order is None else order - 1
     if runs * per_run > FUZZ_MAX_DRAWS:
         raise BudgetExceeded(f"--n {runs} times {per_run} elements exceeds the cap {FUZZ_MAX_DRAWS}")
+    if full and runs > 1:
+        raise InputFormatError(f"fuzz --mode full_nonzero draws the same instance for every seed, "
+                               f"so it needs --n 1, got {runs}")
     tasks = [replace(cfg, seed=cfg.seed + k) for k in range(runs)]
     results = [r for r in _map(_fuzz_seed, tasks, args.workers) if r is not None]
     certificates = "".join(r for r in results if isinstance(r, str))

@@ -9,14 +9,13 @@ verification sums the witness rows straight from the table.  No matrix is built.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
 from . import groups
 from .errors import InternalVerificationError
 from .sumfull import InputSet, RepresentationTable, check_sum_full, verify_table
-from .witness import ConstraintMatrix, WitnessSubset, find_witness_pairs
+from .witness import ConstraintMatrix, WitnessSubset, find_witness_pairs, witness_holds
 # the dense references, kept importable here because perfbench/layers.py hooks them by name
 from .witness import find_witness, verify_witness  # noqa: F401
 
@@ -52,35 +51,15 @@ def extract(a: InputSet) -> ZeroSumCertificate:
     the subset; its sum vanishing is rechecked before returning.  An input
     that is not sum-full raises check_sum_full's NotSumFullError.
     """
-    z = groups.zero(a.spec)
-    k = bisect_left(a.elements, z)
-    if k < len(a.elements) and a.elements[k] == z:
+    k = a.zero_index()
+    if k is not None:
         return ZeroSumCertificate((k,), None)
     t = check_sum_full(a)
     w = find_witness_pairs(t.reps)
     s = support(w.vector)
-    if groups.scalar_sum([a.elements[k] for k in s], a.spec) != z:
+    if groups.scalar_sum([a.elements[k] for k in s], a.spec) != groups.zero(a.spec):
         raise InternalVerificationError("witness support does not sum to zero")
     return ZeroSumCertificate(s, Trail(t, w))
-
-
-def witness_holds(t: RepresentationTable, w: WitnessSubset) -> bool:
-    """Whether w's rows of the class matrix of t sum to w.vector, a nonzero 0/1 vector.
-
-    Row k is e_i + e_j - e_k for reps[k] = (i, j), so the sum costs O(n + rows)
-    and no matrix is built; it agrees with verify_witness(build_matrix(t), w).
-    """
-    n = len(t.reps)
-    rows = w.rows
-    if not rows or len(set(rows)) != len(rows) or any(not 0 <= k < n for k in rows):
-        return False
-    s = [0] * n
-    for k in rows:
-        i, j = t.reps[k]
-        s[i] += 1
-        s[j] += 1
-        s[k] -= 1
-    return tuple(s) == w.vector and 1 in s and set(s) <= {0, 1}
 
 
 def verify_certificate(c: ZeroSumCertificate, a: InputSet) -> bool:
@@ -97,5 +76,5 @@ def verify_certificate(c: ZeroSumCertificate, a: InputSet) -> bool:
     if trail is None:
         return c.subset == (c.subset[0],) and a.elements[c.subset[0]] == z
     return (verify_table(a, trail.table)
-            and witness_holds(trail.table, trail.witness)
+            and witness_holds(trail.table.reps, trail.witness)
             and c.subset == support(trail.witness.vector))

@@ -82,9 +82,10 @@ def _unrank_sorted_pair(t: int, slots: int) -> tuple[int, int]:
     return lo, lo + (t - offset(lo))
 
 
-def random_matrix(n: int, seed: int) -> ConstraintMatrix:
+def random_pairs(n: int, seed: int) -> list[tuple[int, int]]:
     """Per row k: diagonal d drawn from {-1, 0, 1} (1 when n = 1), the mass 1 - d placed by a
-    uniform weak composition over the off-diagonal slots; kept as row k = e_i + e_j - e_k."""
+    uniform weak composition over the off-diagonal slots; kept as the pair (i, j), i <= j,
+    of row k = e_i + e_j - e_k.  The order cap is checked before any draw."""
     if n < 1:
         raise ValueError("order must be >= 1")
     check_order(n)
@@ -97,11 +98,16 @@ def random_matrix(n: int, seed: int) -> ConstraintMatrix:
             pairs.append((k, k))
         elif d == 0:
             s = rng.below(slots)
-            pairs.append((k, s if s < k else s + 1))
+            pairs.append((s, k) if s < k else (k, s + 1))
         else:
             x, y = _unrank_sorted_pair(rng.below(slots * (slots + 1) // 2), slots)
             pairs.append((x if x < k else x + 1, y if y < k else y + 1))
-    return ConstraintMatrix.from_pairs(pairs)
+    return pairs
+
+
+def random_matrix(n: int, seed: int) -> ConstraintMatrix:
+    """The class matrix of random_pairs(n, seed)."""
+    return ConstraintMatrix.from_pairs(random_pairs(n, seed))
 
 
 def _draw_element(rng: SplitMix64, g: GroupSpec, bound: int) -> GroupElement:

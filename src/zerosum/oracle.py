@@ -2,7 +2,8 @@
 
 Nothing here shares a code path with the constructions it checks: subset
 search walks indicator bitmasks directly, the matrix class is enumerated from
-per-row weak compositions, and the Sidon check rescans a full pair-sum table.
+per-row weak compositions (as matrices, or as the pair tables that are the
+same class), and the Sidon check rescans a full pair-sum table.
 """
 from __future__ import annotations
 
@@ -80,19 +81,38 @@ def count_class(n: int) -> int:
     return len(row_options(n, 0)) ** n
 
 
+def _class_options(n: int, first_rows: Optional[Sequence[int]]) -> list[list[tuple[int, ...]]]:
+    """row_options for each row of order n, the first restricted to the first_rows indices."""
+    if n > ENUMERATE_MAX_N:
+        raise BudgetExceeded(f"class enumeration supports n <= {ENUMERATE_MAX_N}, got {n}")
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    per_row = [row_options(n, i) for i in range(n)]
+    if first_rows is not None:
+        per_row[0] = [per_row[0][k] for k in first_rows]
+    return per_row
+
+
 def enumerate_class(n: int, first_rows: Optional[Sequence[int]] = None) -> Iterator[ConstraintMatrix]:
     """Every class member of order n exactly once, in row-wise lexicographic order.
 
     first_rows restricts the first row to the given option indices (sharding);
     shards are disjoint and together cover the whole class.
     """
-    if n > ENUMERATE_MAX_N:
-        raise BudgetExceeded(f"class enumeration supports n <= {ENUMERATE_MAX_N}, got {n}")
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    per_row = [row_options(n, i) for i in range(n)]
-    first = per_row[0] if first_rows is None else [per_row[0][k] for k in first_rows]
-    yield from map(ConstraintMatrix.from_rows, itertools.product(first, *per_row[1:]))
+    yield from map(ConstraintMatrix.from_rows, itertools.product(*_class_options(n, first_rows)))
+
+
+def class_tables(n: int,
+                 first_rows: Optional[Sequence[int]] = None) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The pair table of each matrix of enumerate_class(n, first_rows), in the same order.
+
+    Row k plus e_k is a 0/1/2 vector with entry sum 2, read as its two columns
+    i <= j; each row option is read once, and no matrix is built.
+    """
+    per_row = [[tuple(c for c, v in enumerate(row) for _ in range(v + (c == k)))
+                for row in options]
+               for k, options in enumerate(_class_options(n, first_rows))]
+    yield from itertools.product(*per_row)
 
 
 def max_zero_sum_free_length(p: int, m: int, cap: int = 8) -> int:

@@ -49,6 +49,12 @@ class InputSet:
     def positions(self) -> dict[GroupElement, int]:
         return {x: k for k, x in enumerate(self.elements)}
 
+    def zero_index(self) -> Optional[int]:
+        """The index of the group's zero among the sorted elements, or None."""
+        z = groups.zero(self.spec)
+        k = bisect_left(self.elements, z)
+        return k if k < len(self.elements) and self.elements[k] == z else None
+
 
 @dataclass(frozen=True)
 class RepresentationTable:

@@ -4,9 +4,10 @@ Every such matrix admits a nonempty set of rows whose sum is a nonzero vector
 of zeros and ones.  find_witness constructs one by a reduction that removes
 one or two rows/columns per step; find_witness_pairs makes the same choices on
 the pair table (row k is e_i + e_j - e_k), building no matrix, and is the one
-the package uses, with find_witness as the dense reference.  verify_witness
-and all_witnesses recheck results by direct arithmetic.  Every class matrix is
-built here, under MATRIX_MAX_N.
+the package uses, with find_witness as the dense reference.  witness_holds
+rechecks a witness on the pair table, and verify_witness and all_witnesses on
+the dense matrix, by direct arithmetic.  Every class matrix is built here,
+under MATRIX_MAX_N.
 """
 from __future__ import annotations
 
@@ -345,6 +346,26 @@ def find_witness_pairs(pairs: Sequence[tuple[int, int]], *,
     if 1 not in v or not set(v) <= {0, 1}:
         raise InternalVerificationError("constructed row set does not sum to a nonzero 0-1 vector")
     return _witness(rows, tuple(v))
+
+
+def witness_holds(pairs: Sequence[tuple[int, int]], w: WitnessSubset) -> bool:
+    """Whether w's rows of the class matrix of the pair table sum to w.vector, a nonzero 0/1 vector.
+
+    Row k is e_i + e_j - e_k for pairs[k] = (i, j), so the sum costs O(n + rows),
+    no matrix is built and no code is shared with find_witness_pairs; it agrees
+    with verify_witness(ConstraintMatrix.from_pairs(pairs), w).
+    """
+    n = len(pairs)
+    rows = w.rows
+    if not rows or len(set(rows)) != len(rows) or any(not 0 <= k < n for k in rows):
+        return False
+    s = [0] * n
+    for k in rows:
+        i, j = pairs[k]
+        s[i] += 1
+        s[j] += 1
+        s[k] -= 1
+    return tuple(s) == w.vector and 1 in s and set(s) <= {0, 1}
 
 
 def verify_witness(M: ConstraintMatrix, w: WitnessSubset) -> bool:

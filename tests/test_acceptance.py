@@ -13,11 +13,11 @@ from zerosum.char3 import (ZeroSumList, chain_extract, is_sidon, olson_bound,
                            subgroup_closure, verify_quadruple)
 from zerosum.extractor import extract, verify_certificate
 from zerosum.formats import certificate_to_json, dumps_canonical
-from zerosum.gen import GenConfig, random_matrix, random_set, random_sumfull_set
+from zerosum.gen import GenConfig, random_pairs, random_set, random_sumfull_set
 from zerosum.groups import GroupSpec
-from zerosum.oracle import (brute_force_zero_sum, enumerate_class,
+from zerosum.oracle import (brute_force_zero_sum, class_tables,
                             max_zero_sum_free_length, quadruple_oracle)
-from zerosum.witness import find_witness_pairs, verify_witness
+from zerosum.witness import find_witness_pairs, witness_holds
 
 _DIGESTS: dict[str, str] = {}
 
@@ -62,10 +62,10 @@ def criterion_1() -> dict:
     hasher = hashlib.sha256()
     for n in range(1, 6):
         total = 0
-        for m in enumerate_class(n):
+        for pairs in class_tables(n):
             total += 1
-            w = find_witness_pairs(m.pairs())
-            if not verify_witness(m, w):
+            w = find_witness_pairs(pairs)
+            if not witness_holds(pairs, w):
                 failures += 1
             hasher.update(_witness_json(w))
         counts[n] = total
@@ -287,15 +287,15 @@ def criterion_6() -> dict:
     hasher = hashlib.sha256()
     failures = 0
     for seed in range(10_000):
-        m = random_matrix(200, seed)
-        w = find_witness_pairs(m.pairs())
-        if not verify_witness(m, w):
+        pairs = random_pairs(200, seed)
+        w = find_witness_pairs(pairs)
+        if not witness_holds(pairs, w):
             failures += 1
         hasher.update(_witness_json(w))
     for seed in range(10):
-        m = random_matrix(1000, seed)
-        w = find_witness_pairs(m.pairs())
-        if not verify_witness(m, w):
+        pairs = random_pairs(1000, seed)
+        w = find_witness_pairs(pairs)
+        if not witness_holds(pairs, w):
             failures += 1
         hasher.update(_witness_json(w))
     return {"failures": failures, "witnesses_sha256": _sha(hasher)}

@@ -291,6 +291,17 @@ def test_enumerate_with_verification():
     assert json.loads(out) == {"format": 1, "n": 3, "total": 216, "failures": 0}
 
 
+def test_enumerate_builds_no_matrix(monkeypatch):
+    argv = ["enumerate", "--n", "3", "--verify-witness"]
+    expected = run_cli(argv)
+    assert expected == (0, '{"failures":0,"format":1,"n":3,"total":216}\n', "")
+    for owner, attr in ((witness.ConstraintMatrix, "from_rows"),
+                        (witness.ConstraintMatrix, "from_pairs"),
+                        (witness.ConstraintMatrix, "pairs"), (witness, "verify_witness")):
+        monkeypatch.setattr(owner, attr, _no_dense_reduction)
+    assert run_cli(argv) == expected
+
+
 def test_enumerate_workers_merge_deterministically():
     argv = ["enumerate", "--n", "3", "--verify-witness", "--workers"]
     replies = {run_cli(argv + [w])[1] for w in ("1", "2", "3")}
@@ -701,6 +712,22 @@ def test_fuzz_counts_a_full_nonzero_run_as_the_nonzero_elements(monkeypatch):
         cfg = {"mode": "full_nonzero", "group": {"free_rank": 0, "torsion": [m]}}
         assert run_json(["fuzz", "--n", "1"], cfg)[0] == code
     assert len(ran) == 1
+
+
+def test_fuzz_runs_full_nonzero_once(monkeypatch):
+    # the instance does not depend on the seed, so an omitted --n means 1 and a
+    # larger --n is refused before any run
+    cfg = {"mode": "full_nonzero", "group": {"free_rank": 0, "torsion": [11]}}
+    code, summary, _ = run_json(["fuzz"], cfg)
+    assert (code, summary["runs"], summary["instances"], summary["failures"]) == (0, 1, 1, 0)
+    assert run_json(["fuzz", "--n", "1"], cfg)[:2] == (0, summary)
+    ran = []
+    monkeypatch.setattr(cli, "_fuzz_seed", ran.append)
+    for n in ("2", "3"):
+        code, out, err = run_json(["fuzz", "--n", n], cfg)
+        assert (code, out) == (1, None), n
+        assert "full_nonzero" in err
+    assert ran == []
 
 
 def test_fuzz_workers_deterministic():

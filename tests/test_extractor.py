@@ -7,11 +7,11 @@ import pytest
 from conftest import el, full_nonzero, zmod, zset
 from zerosum import cli, formats, groups
 from zerosum.errors import NotSumFullError
-from zerosum.extractor import build_matrix, extract, support, verify_certificate, witness_holds
+from zerosum.extractor import build_matrix, extract, support, verify_certificate
 from zerosum.gen import GenConfig, SplitMix64, random_sumfull_set
-from zerosum.oracle import brute_force_zero_sum
+from zerosum.oracle import brute_force_zero_sum, class_tables
 from zerosum.sumfull import InputSet, RepresentationTable, check_sum_full
-from zerosum.witness import WitnessSubset, verify_witness
+from zerosum.witness import ConstraintMatrix, WitnessSubset, verify_witness, witness_holds
 from test_golden import _instances as golden_instances
 
 
@@ -163,6 +163,22 @@ def _tampered(w: WitnessSubset, n: int, other_rows: tuple[int, ...]):
 
 
 def test_witness_holds_agrees_with_the_dense_check():
+    # on every class table of order <= 3, pairs that contain their own row
+    # included: every nonempty row set, with its dense row sum and that sum tampered
+    verdicts = set()
+    for n in (1, 2, 3):
+        for pairs in class_tables(n):
+            m = ConstraintMatrix.from_pairs(pairs)
+            dense_rows = m.tolist()
+            for mask in range(1, 1 << n):
+                rows = tuple(r for r in range(n) if mask >> r & 1)
+                row_sum = tuple(map(sum, zip(*(dense_rows[r] for r in rows))))
+                for vector in (row_sum, (1 - row_sum[0],) + row_sum[1:]):
+                    cand = WitnessSubset(rows, vector)
+                    verdict = witness_holds(pairs, cand)
+                    assert verdict == verify_witness(m, cand), (pairs, cand)
+                    verdicts.add(verdict)
+    assert verdicts == {True, False}
     # on every golden certificate and on tampered witnesses; each row set is
     # also tried with the vector the dense matrix gives it, so both verdicts occur
     verdicts = set()
@@ -180,9 +196,9 @@ def test_witness_holds_agrees_with_the_dense_check():
                 row_sum = tuple(map(sum, zip(*(dense_rows[r] for r in bad.rows))))
                 candidates.append(WitnessSubset(bad.rows, row_sum))
             for cand in candidates:
-                verdict = witness_holds(t, cand)
+                verdict = witness_holds(t.reps, cand)
                 assert verdict == verify_witness(m, cand), (t, cand)
                 verdicts.add(verdict)
-        assert witness_holds(t, w)
+        assert witness_holds(t.reps, w)
         other_rows = w.rows
     assert verdicts == {True, False}

@@ -14,13 +14,14 @@ the smallest-first choice of witness.
 
 A third digest pins the matrices that `random_matrix(n, s)` draws for n in
 {1, 2, 3, 6, 40} and s < 50, so a change to how a draw is stored can be shown
-to keep the SplitMix64 stream and the instances it produces.
+to keep the SplitMix64 stream and the instances it produces; `random_pairs`
+must draw the pair tables of the same matrices.
 """
 import hashlib
 import json
 
 from zerosum.extractor import extract
-from zerosum.gen import GenConfig, random_matrix, random_sumfull_set
+from zerosum.gen import GenConfig, random_matrix, random_pairs, random_sumfull_set
 from zerosum.groups import GroupSpec
 from zerosum.oracle import enumerate_class
 from zerosum.witness import find_witness, find_witness_pairs
@@ -97,7 +98,9 @@ def test_random_matrices_pinned():
     count = 0
     for n in (1, 2, 3, 6, 40):
         for seed in range(50):
-            rows = random_matrix(n, seed).tolist()
+            m = random_matrix(n, seed)
+            assert random_pairs(n, seed) == m.pairs(), (n, seed)
+            rows = m.tolist()
             hasher.update(json.dumps(rows, separators=(",", ":")).encode() + b"\n")
             count += 1
     assert count == 250

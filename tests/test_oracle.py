@@ -5,7 +5,7 @@ import pytest
 from conftest import NoPower, Z, zset
 from zerosum.errors import BudgetExceeded
 from zerosum.gen import GenConfig, SplitMix64, random_sumfull_set
-from zerosum.oracle import (brute_force_zero_sum, count_class, enumerate_class,
+from zerosum.oracle import (brute_force_zero_sum, class_tables, count_class, enumerate_class,
                             max_zero_sum_free_length, row_options)
 from zerosum.witness import validate_membership
 
@@ -89,10 +89,23 @@ class TestEnumerateClass:
             merged.extend(tuple(map(tuple, m.tolist())) for m in enumerate_class(3, first_rows=shard))
         assert len(merged) == 216
         assert len(set(merged)) == 216
+        # class_tables lists the pair table of each matrix, in the same order, whole and by shard
+        for n in (1, 2, 3, 4):
+            assert list(class_tables(n)) == [tuple(m.pairs()) for m in enumerate_class(n)]
+            options = len(row_options(n, 0))
+            shards = [tuple(range(k, options, 2)) for k in range(2)]
+            merged = []
+            for shard in shards:
+                tables = list(class_tables(n, first_rows=shard))
+                assert tables == [tuple(m.pairs()) for m in enumerate_class(n, first_rows=shard)]
+                merged.extend(tables)
+            assert len(set(merged)) == len(merged) == count_class(n)
 
     def test_size_guard(self):
         with pytest.raises(BudgetExceeded):
             next(enumerate_class(7))
+        with pytest.raises(BudgetExceeded):
+            next(class_tables(7))
 
 
 class TestMaxZeroSumFree:
